@@ -67,15 +67,14 @@ class Node {
   Node& insertChild(std::size_t index, std::unique_ptr<Node> child);
   // Removes and returns the child at `index`.
   std::unique_ptr<Node> removeChild(std::size_t index);
-  // Removes all children.
-  void clearChildren() { children_.clear(); }
 
-  // --- taint provenance (server-side rendering only) ---
+  // --- taint provenance (hand-built reference trees only) ---
   // Bit-vector of provenance labels: which cookie reads influenced this
-  // node. Set by the site behaviors while rendering; 0 (the default)
-  // everywhere else — parsed client-side trees never carry taint. The
-  // effective taint of a node is the OR of its own labels and its
-  // ancestors', which the provenance-aware serializer accumulates.
+  // node. Only trees built to check the streaming stamps set it; 0 (the
+  // default) everywhere else — the origin emits HTML directly and parsed
+  // trees never carry taint. The effective taint of a node is the OR of
+  // its own labels and its ancestors', which the provenance-aware
+  // serializer accumulates.
   std::uint32_t taintLabels() const { return taintLabels_; }
   void addTaintLabels(std::uint32_t labels) { taintLabels_ |= labels; }
 

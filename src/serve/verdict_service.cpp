@@ -1,8 +1,8 @@
 #include "serve/verdict_service.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "browser/browser.h"
@@ -190,8 +190,17 @@ net::HttpResponse VerdictService::handle(const net::HttpRequest& request) {
       return jsonResponse(400, "{\"error\":\"missing host parameter\"}");
     }
     const std::string viewsText = queryParam(request.url.query(), "views");
-    const int views =
-        viewsText.empty() ? config_.defaultViews : std::atoi(viewsText.c_str());
+    int views = config_.defaultViews;
+    if (!viewsText.empty()) {
+      const char* end = viewsText.data() + viewsText.size();
+      const auto [last, error] = std::from_chars(viewsText.data(), end, views);
+      if (error != std::errc() || last != end || views <= 0 ||
+          views > kMaxVerdictViews) {
+        return jsonResponse(
+            400, "{\"error\":\"views must be an integer in 1.." +
+                     std::to_string(kMaxVerdictViews) + "\"}");
+      }
+    }
     std::string verdict = runVerdict(host, views);
     if (verdict.empty()) {
       return jsonResponse(400, "{\"error\":\"unknown host\"}");

@@ -12,7 +12,8 @@
 // Routes:
 //   GET /healthz               → 200 "ok"
 //   GET /verdict?host=H[&views=N] → verdict JSON: session report plus the
-//       sorted useful/blocked persistent-cookie names. Deterministic
+//       sorted useful/blocked persistent-cookie names; 400 unless N is a
+//       decimal integer in [1, kMaxVerdictViews]. Deterministic
 //       fields only — no timing — so two runs (or sim vs. socket) can be
 //       compared byte-for-byte; the soak harness does exactly that.
 //   GET /stats                 → service counters JSON
@@ -29,6 +30,10 @@
 #include "net/transport.h"
 
 namespace cookiepicker::serve {
+
+// Cap on /verdict's views: a verdict runs inline on the frontend's event
+// loop, so a huge count would stall every other client.
+inline constexpr int kMaxVerdictViews = 1000;
 
 struct VerdictServiceConfig {
   int defaultViews = 12;

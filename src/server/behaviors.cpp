@@ -2,19 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <vector>
 
-#include "dom/select.h"
 #include "net/cookie_parse.h"
 #include "server/fragments.h"
 #include "server/words.h"
-#include "util/strings.h"
 
 namespace cookiepicker::server {
 
 namespace {
-
-using dom::Node;
 
 std::string randomHexId(util::Pcg32& rng) {
   char buffer[20];
@@ -32,26 +27,6 @@ std::string setCookieValue(const std::string& name, const std::string& value,
   header += "; Path=" + path;
   return header;
 }
-
-bool hasClassToken(const Node& node, const std::string& token) {
-  const auto classAttr = node.attribute("class");
-  if (!classAttr.has_value()) return false;
-  for (const std::string& existing : util::splitWhitespace(*classAttr)) {
-    if (existing == token) return true;
-  }
-  return false;
-}
-
-std::vector<Node*> findByClass(Node& root, const std::string& token) {
-  return dom::select(root, "." + token);
-}
-
-void setElementText(Node& element, const std::string& text) {
-  element.clearChildren();
-  element.appendChild(Node::makeText(text));
-}
-
-Node* findMain(Node& body) { return body.findFirst("main"); }
 
 }  // namespace
 
@@ -106,19 +81,15 @@ void SessionCartBehavior::onRequest(const RenderContext& context,
   response.headers.add("Set-Cookie", cookieName_ + "=0; Path=/");
 }
 
-void SessionCartBehavior::render(const RenderContext& context,
-                                 dom::Node& body) {
-  Node* header = body.findFirst("header");
-  if (header == nullptr) return;
-  auto cart = Node::makeElement("span");
-  cart->setAttribute("class", "cart-status");
-  const std::string count =
-      context.hasCookie(cookieName_) ? context.cookieValue(cookieName_) : "0";
-  cart->appendChild(Node::makeText("Cart items: " + count));
+void SessionCartBehavior::render(const RenderContext& context, Page& page) {
+  std::string html = "<span class=\"cart-status\">Cart items: ";
+  appendEscapedText(html, context.hasCookie(cookieName_)
+                              ? context.cookieValue(cookieName_)
+                              : "0");
+  html += "</span>";
   // The cart widget renders either way, but its content is a function of the
   // cookie read — taint it in both branches.
-  cart->addTaintLabels(context.taintFor(cookieName_));
-  header->appendChild(std::move(cart));
+  page.header.push_back({context.taintFor(cookieName_), std::move(html)});
 }
 
 // --- PreferenceCookieBehavior -----------------------------------------------
@@ -146,91 +117,69 @@ void PreferenceCookieBehavior::onRequest(const RenderContext& context,
 }
 
 void PreferenceCookieBehavior::render(const RenderContext& context,
-                                      dom::Node& body) {
+                                      Page& page) {
   // Both branches below are conditioned on reading this cookie, so both
   // taint what they emit — the absence branch's banner is as much a
   // consequence of the read as the personalized content.
   const provenance::LabelSet taint = context.taintFor(cookieName_);
   if (!context.hasCookie(cookieName_) || !affectsPath(context.path)) {
     // Without the preference cookie the generic page carries a hint banner.
-    if (Node* main = findMain(body); main != nullptr &&
-                                     affectsPath(context.path)) {
-      auto banner = Node::makeElement("div");
-      banner->setAttribute("class", "pref-hint");
-      banner->appendChild(
-          Node::makeText("Set your preferences to personalize this page."));
-      banner->addTaintLabels(taint);
-      main->insertChild(0, std::move(banner));
+    if (affectsPath(context.path)) {
+      page.main.insert(page.main.begin(),
+                       {taint,
+                        "<div class=\"pref-hint\">Set your preferences to "
+                        "personalize this page.</div>"});
     }
     return;
   }
 
   util::Pcg32& stable = *context.stableRng;
   // 1. Personalized greeting replaces the generic site title text.
-  if (Node* heading = body.findFirst("h1"); heading != nullptr) {
-    setElementText(*heading, "Welcome back — your " + randomWord(stable) +
-                                 " edition");
-    heading->addTaintLabels(taint);
-  }
+  page.heading = "Welcome back — your ";
+  appendWord(page.heading, stable);
+  page.heading += " edition";
+  page.headingTaint |= taint;
   // 2. Sidebar with saved links, inserted before <main>.
-  Node* page = body.findFirst("div");
-  Node* main = findMain(body);
-  if (page != nullptr && main != nullptr) {
-    std::size_t mainIndex = 0;
-    for (std::size_t i = 0; i < page->childCount(); ++i) {
-      if (&page->child(i) == main) {
-        mainIndex = i;
-        break;
-      }
-    }
-    page->insertChild(mainIndex, makeSidebar(stable, "Your saved topics", 5))
-        .addTaintLabels(taint);
-  }
-  if (main == nullptr) return;
+  Block sidebar(taint, {});
+  appendSidebar(sidebar.html, stable, "Your saved topics", 5);
+  page.beforeMain.push_back(std::move(sidebar));
   // 3. Recommendation sections at the top of <main>.
   for (int i = 0; i < intensity_; ++i) {
-    auto recommended = Node::makeElement("section");
-    recommended->setAttribute("class", "recommended");
-    recommended->appendChild(
-        makeTextElement("h2", "Recommended for you: " + randomTitle(stable)));
-    recommended->appendChild(
-        makeTextElement("p", randomParagraph(stable, 2)));
-    auto list = Node::makeElement("ul");
+    Block recommended(
+        taint, "<section class=\"recommended\"><h2>Recommended for you: ");
+    std::string& html = recommended.html;
+    appendTitle(html, stable);
+    html += "</h2><p>";
+    appendParagraph(html, stable, 2);
+    html += "</p><ul>";
     for (int j = 0; j < 4; ++j) {
-      list->appendChild(makeTextElement("li", randomPhrase(stable, 4)));
+      html += "<li>";
+      appendPhrase(html, stable, 4);
+      html += "</li>";
     }
-    recommended->appendChild(std::move(list));
-    recommended->addTaintLabels(taint);
-    main->insertChild(0, std::move(recommended));
+    html += "</ul></section>";
+    page.main.insert(page.main.begin(), std::move(recommended));
   }
   // 4. High intensity: personalization dominates — generic sections are
-  // replaced outright (drives P4-style similarity scores near 0.2).
+  // replaced outright (drives P4-style similarity scores near 0.2), the
+  // last one first.
   if (intensity_ >= 3) {
-    std::vector<std::size_t> genericSections;
-    for (std::size_t i = 0; i < main->childCount(); ++i) {
-      const Node& child = main->child(i);
-      if (child.isElement() && child.name() == "section" &&
-          hasClassToken(child, "content")) {
-        genericSections.push_back(i);
-      }
-    }
-    // Remove from the back so indices stay valid.
-    for (auto it = genericSections.rbegin(); it != genericSections.rend();
-         ++it) {
-      main->removeChild(*it);
-      auto replacement = Node::makeElement("article");
-      replacement->setAttribute("class", "personal-feed");
-      replacement->appendChild(
-          makeTextElement("h2", "From your feed: " + randomTitle(stable)));
-      auto timeline = Node::makeElement("dl");
+    for (auto it = page.main.rbegin(); it != page.main.rend(); ++it) {
+      if (it->kind != BlockKind::Content) continue;
+      Block feed(taint,
+                 "<article class=\"personal-feed\"><h2>From your feed: ");
+      std::string& html = feed.html;
+      appendTitle(html, stable);
+      html += "</h2><dl>";
       for (int j = 0; j < 3; ++j) {
-        timeline->appendChild(makeTextElement("dt", randomTitle(stable)));
-        timeline->appendChild(
-            makeTextElement("dd", randomParagraph(stable, 1)));
+        html += "<dt>";
+        appendTitle(html, stable);
+        html += "</dt><dd>";
+        appendParagraph(html, stable, 1);
+        html += "</dd>";
       }
-      replacement->appendChild(std::move(timeline));
-      replacement->addTaintLabels(taint);
-      main->insertChild(*it, std::move(replacement));
+      html += "</dl></article>";
+      *it = std::move(feed);
     }
   }
 }
@@ -249,28 +198,22 @@ void SignUpWallBehavior::onRequest(const RenderContext& context,
                                    maxAgeSeconds_, "/"));
 }
 
-void SignUpWallBehavior::render(const RenderContext& context,
-                                dom::Node& body) {
+void SignUpWallBehavior::render(const RenderContext& context, Page& page) {
   const provenance::LabelSet taint = context.taintFor(cookieName_);
   if (context.hasCookie(cookieName_)) {
     // Members get a small account toolbar.
-    if (Node* header = body.findFirst("header"); header != nullptr) {
-      auto toolbar = Node::makeElement("div");
-      toolbar->setAttribute("class", "account-bar");
-      toolbar->appendChild(Node::makeText("Signed in — account menu"));
-      toolbar->addTaintLabels(taint);
-      header->appendChild(std::move(toolbar));
-    }
+    page.header.push_back(
+        {taint, "<div class=\"account-bar\">Signed in — account menu</div>"});
     return;
   }
   // No account cookie: the entire content area becomes the sign-up wall.
   // The wall replaces <main> wholesale, so the whole emptied container is
   // a consequence of the cookie read.
-  if (Node* main = findMain(body); main != nullptr) {
-    main->clearChildren();
-    main->appendChild(makeSignUpForm(*context.stableRng));
-    main->addTaintLabels(taint);
-  }
+  page.main.clear();
+  Block wall;
+  appendSignUpForm(wall.html, *context.stableRng);
+  page.main.push_back(std::move(wall));
+  page.mainTaint |= taint;
 }
 
 // --- QueryCacheBehavior -----------------------------------------------------
@@ -294,32 +237,23 @@ void QueryCacheBehavior::onRequest(const RenderContext& context,
                                    maxAgeSeconds_, "/"));
 }
 
-void QueryCacheBehavior::render(const RenderContext& context,
-                                dom::Node& body) {
-  Node* main = findMain(body);
-  if (main == nullptr) return;
+void QueryCacheBehavior::render(const RenderContext& context, Page& page) {
   const provenance::LabelSet taint = context.taintFor(cookieName_);
+  Block block(taint, {});
   if (context.hasCookie(cookieName_)) {
     // The cookie names the user's server-side result directory; the page
     // embeds the cached results instantly.
-    auto cached = Node::makeElement("section");
-    cached->setAttribute("class", "query-cache");
-    cached->appendChild(makeTextElement("h2", "Your recent query results"));
-    cached->appendChild(makeResultList(*context.stableRng, 8));
-    cached->appendChild(makeTextElement(
-        "p", "Served from your result cache for instant reuse."));
-    cached->addTaintLabels(taint);
-    main->insertChild(0, std::move(cached));
+    block.html =
+        "<section class=\"query-cache\"><h2>Your recent query results</h2>";
+    appendResultList(block.html, *context.stableRng, 8);
+    block.html +=
+        "<p>Served from your result cache for instant reuse.</p></section>";
   } else {
-    auto placeholder = Node::makeElement("div");
-    placeholder->setAttribute("class", "query-pending");
-    placeholder->appendChild(
-        makeTextElement("h2", "Recomputing your results"));
-    placeholder->appendChild(makeTextElement(
-        "p", "No result cache found; queries must be executed again."));
-    placeholder->addTaintLabels(taint);
-    main->insertChild(0, std::move(placeholder));
+    block.html =
+        "<div class=\"query-pending\"><h2>Recomputing your results</h2>"
+        "<p>No result cache found; queries must be executed again.</p></div>";
   }
+  page.main.insert(page.main.begin(), std::move(block));
 }
 
 // --- AdRotationNoise --------------------------------------------------------
@@ -327,65 +261,46 @@ void QueryCacheBehavior::render(const RenderContext& context,
 AdRotationNoise::AdRotationNoise(bool structuralVariation)
     : structuralVariation_(structuralVariation) {}
 
-void AdRotationNoise::render(const RenderContext& context, dom::Node& body) {
+void AdRotationNoise::render(const RenderContext& context, Page& page) {
   util::Pcg32& rng = *context.fetchRng;
-  for (Node* slot : findByClass(body, "adslot")) {
-    slot->clearChildren();
+  page.forEachHole(HoleKind::AdSlot, [&](std::string& slot) {
     const int shape =
         structuralVariation_ ? static_cast<int>(rng.uniform(0, 2)) : 0;
-    auto anchor = Node::makeElement("a");
-    anchor->setAttribute(
-        "href", "/ad/redirect" + std::to_string(rng.uniform(1, 999)));
-    anchor->appendChild(Node::makeText(randomAdCopy(rng)));
-    switch (shape) {
-      case 0:
-        slot->appendChild(std::move(anchor));
-        break;
-      case 1: {
-        slot->appendChild(std::move(anchor));
-        auto sponsor = Node::makeElement("span");
-        sponsor->setAttribute("class", "sponsor-tag");
-        sponsor->appendChild(Node::makeText("Sponsored"));
-        slot->appendChild(std::move(sponsor));
-        break;
-      }
-      default: {
-        auto wrap = Node::makeElement("div");
-        wrap->setAttribute("class", "ad-wrap");
-        auto image = Node::makeElement("img");
-        image->setAttribute(
-            "src", "/assets/ad" + std::to_string(rng.uniform(1, 9)) + ".png");
-        wrap->appendChild(std::move(image));
-        wrap->appendChild(std::move(anchor));
-        slot->appendChild(std::move(wrap));
-        break;
-      }
+    slot = "<a href=\"/ad/redirect" + std::to_string(rng.uniform(1, 999)) +
+           "\">";
+    appendAdCopy(slot, rng);
+    slot += "</a>";
+    if (shape == 1) {
+      slot += "<span class=\"sponsor-tag\">Sponsored</span>";
+    } else if (shape == 2) {
+      // The image is drawn after the anchor it precedes.
+      slot = "<div class=\"ad-wrap\"><img src=\"/assets/ad" +
+             std::to_string(rng.uniform(1, 9)) + ".png\">" + slot + "</div>";
     }
-  }
+  });
 }
 
 // --- HeadlineRotationNoise --------------------------------------------------
 
-void HeadlineRotationNoise::render(const RenderContext& context,
-                                   dom::Node& body) {
+void HeadlineRotationNoise::render(const RenderContext& context, Page& page) {
   util::Pcg32& rng = *context.fetchRng;
-  for (Node* headline : findByClass(body, "rotating-headline")) {
-    setElementText(*headline, randomPhrase(rng, 5));
-  }
+  page.forEachHole(HoleKind::Headline, [&](std::string& headline) {
+    headline.clear();
+    appendPhrase(headline, rng, 5);
+  });
 }
 
 // --- TimestampNoise ---------------------------------------------------------
 
-void TimestampNoise::render(const RenderContext& context, dom::Node& body) {
+void TimestampNoise::render(const RenderContext& context, Page& page) {
   const auto totalSeconds = context.clock->nowMs() / 1000;
   char buffer[16];
   std::snprintf(buffer, sizeof(buffer), "%02d:%02d:%02d",
                 static_cast<int>((totalSeconds / 3600) % 24),
                 static_cast<int>((totalSeconds / 60) % 60),
                 static_cast<int>(totalSeconds % 60));
-  for (Node* stamp : findByClass(body, "timestamp")) {
-    setElementText(*stamp, buffer);
-  }
+  page.forEachHole(HoleKind::Timestamp,
+                   [&](std::string& stamp) { stamp = buffer; });
 }
 
 // --- LayoutShuffleNoise -----------------------------------------------------
@@ -393,37 +308,31 @@ void TimestampNoise::render(const RenderContext& context, dom::Node& body) {
 LayoutShuffleNoise::LayoutShuffleNoise(double probability, int variants)
     : probability_(probability), variants_(std::max(1, variants)) {}
 
-void LayoutShuffleNoise::render(const RenderContext& context,
-                                dom::Node& body) {
+void LayoutShuffleNoise::render(const RenderContext& context, Page& page) {
   util::Pcg32& rng = *context.fetchRng;
   if (!rng.chance(probability_)) return;
-  Node* main = findMain(body);
-  if (main == nullptr || main->childCount() == 0) return;
+  std::vector<Block>& main = page.main;
+  if (main.empty()) return;
 
   // A structurally distinctive promo block lands at the top of <main>...
   const int variant = static_cast<int>(
       rng.uniform(0, static_cast<std::uint32_t>(variants_ - 1)));
-  main->insertChild(0, makePromoBlock(rng, variant));
+  Block promo;
+  appendPromoBlock(promo.html, rng, variant);
+  main.insert(main.begin(), std::move(promo));
 
-  // ...and the remaining sections rotate (order matters to STM).
-  const std::size_t count = main->childCount();
+  // ...and the remaining sections rotate left (order matters to STM).
+  const std::size_t count = main.size();
   if (count > 2) {
     const std::size_t shift =
         1 + rng.uniform(0, static_cast<std::uint32_t>(count - 2));
-    std::vector<std::unique_ptr<Node>> rotated;
-    // Keep the promo (index 0) in place; rotate the rest.
-    std::vector<std::unique_ptr<Node>> rest;
-    while (main->childCount() > 1) {
-      rest.push_back(main->removeChild(1));
-    }
-    for (std::size_t i = 0; i < rest.size(); ++i) {
-      main->appendChild(std::move(rest[(i + shift) % rest.size()]));
-    }
+    std::rotate(main.begin() + 1,
+                main.begin() + 1 + static_cast<std::ptrdiff_t>(
+                                       shift % (count - 1)),
+                main.end());
   }
   // Occasionally a whole section disappears for this fetch.
-  if (main->childCount() > 2 && rng.chance(0.5)) {
-    main->removeChild(main->childCount() - 1);
-  }
+  if (main.size() > 2 && rng.chance(0.5)) main.pop_back();
 }
 
 }  // namespace cookiepicker::server

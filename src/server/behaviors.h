@@ -2,15 +2,19 @@
 //
 // A WebSite owns a list of behaviors. For every request, each behavior may
 // add response headers (onRequest — where cookies get set) and, for HTML
-// container pages, mutate the page DOM before serialization (render). The
+// container pages, edit the page model before it is emitted (render). The
 // Table 1 / Table 2 rosters are assembled entirely from these pieces.
+//
+// A render draws from the RNG streams and calls taintFor() at the moment it
+// runs, never later at emission: behaviors registered after it see, and may
+// discard, what it drew, and label bits are numbered by first read.
 #pragma once
 
 #include <memory>
 #include <string>
 
-#include "dom/node.h"
 #include "net/http.h"
+#include "server/page.h"
 #include "server/render_context.h"
 
 namespace cookiepicker::server {
@@ -24,10 +28,10 @@ class SiteBehavior {
     (void)context;
     (void)response;
   }
-  // Runs for HTML container pages only; may mutate the page body.
-  virtual void render(const RenderContext& context, dom::Node& body) {
+  // Runs for HTML container pages only; may edit the page model.
+  virtual void render(const RenderContext& context, Page& page) {
     (void)context;
-    (void)body;
+    (void)page;
   }
 };
 
@@ -59,7 +63,7 @@ class SessionCartBehavior : public SiteBehavior {
   explicit SessionCartBehavior(std::string cookieName = "cart");
   void onRequest(const RenderContext& context,
                  net::HttpResponse& response) override;
-  void render(const RenderContext& context, dom::Node& body) override;
+  void render(const RenderContext& context, Page& page) override;
 
  private:
   std::string cookieName_;
@@ -76,7 +80,7 @@ class PreferenceCookieBehavior : public SiteBehavior {
                            std::string affectedPathPrefix = "");
   void onRequest(const RenderContext& context,
                  net::HttpResponse& response) override;
-  void render(const RenderContext& context, dom::Node& body) override;
+  void render(const RenderContext& context, Page& page) override;
 
  private:
   bool affectsPath(const std::string& path) const;
@@ -95,7 +99,7 @@ class SignUpWallBehavior : public SiteBehavior {
                               std::int64_t maxAgeSeconds = 365LL * 86400);
   void onRequest(const RenderContext& context,
                  net::HttpResponse& response) override;
-  void render(const RenderContext& context, dom::Node& body) override;
+  void render(const RenderContext& context, Page& page) override;
 
  private:
   std::string cookieName_;
@@ -111,7 +115,7 @@ class QueryCacheBehavior : public SiteBehavior {
                               std::int64_t maxAgeSeconds = 365LL * 86400);
   void onRequest(const RenderContext& context,
                  net::HttpResponse& response) override;
-  void render(const RenderContext& context, dom::Node& body) override;
+  void render(const RenderContext& context, Page& page) override;
 
  private:
   std::string cookieName_;
@@ -120,30 +124,30 @@ class QueryCacheBehavior : public SiteBehavior {
 
 // --- page dynamics (noise) -------------------------------------------------
 
-// Fills every <div class="adslot"> with per-fetch rotating ad copy. With
+// Fills every ad slot with per-fetch rotating ad copy. With
 // `structuralVariation` the filled markup shape also varies per fetch —
 // harder noise, used by the noise ablation.
 class AdRotationNoise : public SiteBehavior {
  public:
   explicit AdRotationNoise(bool structuralVariation = false);
-  void render(const RenderContext& context, dom::Node& body) override;
+  void render(const RenderContext& context, Page& page) override;
 
  private:
   bool structuralVariation_;
 };
 
-// Rewrites the text of every class="rotating-headline" element per fetch —
+// Rewrites the text of every rotating headline per fetch —
 // same-context text replacement, the case Formula 3's s term forgives.
 class HeadlineRotationNoise : public SiteBehavior {
  public:
-  void render(const RenderContext& context, dom::Node& body) override;
+  void render(const RenderContext& context, Page& page) override;
 };
 
-// Writes the current simulated time into class="timestamp" elements
-// ("14:52:07") — the date/time noise CVCE filters out.
+// Writes the current simulated time into the timestamp hole ("14:52:07") —
+// the date/time noise CVCE filters out.
 class TimestampNoise : public SiteBehavior {
  public:
-  void render(const RenderContext& context, dom::Node& body) override;
+  void render(const RenderContext& context, Page& page) override;
 };
 
 // Upper-level layout dynamics: with probability `probability` per fetch,
@@ -153,7 +157,7 @@ class TimestampNoise : public SiteBehavior {
 class LayoutShuffleNoise : public SiteBehavior {
  public:
   explicit LayoutShuffleNoise(double probability, int variants = 3);
-  void render(const RenderContext& context, dom::Node& body) override;
+  void render(const RenderContext& context, Page& page) override;
 
  private:
   double probability_;

@@ -1,7 +1,5 @@
 #include "server/evasion.h"
 
-#include <vector>
-
 #include "server/fragments.h"
 #include "server/words.h"
 
@@ -31,24 +29,26 @@ void EvasionBehavior::onRequest(const RenderContext& context,
   if (defaceCurrentRequest_) ++probesDetected_;
 }
 
-void EvasionBehavior::render(const RenderContext& context, dom::Node& body) {
+void EvasionBehavior::render(const RenderContext& context, Page& page) {
   if (!defaceCurrentRequest_) return;
   // Manipulate the suspected hidden response: replace the content area with
   // fresh, structurally different material so the checker concludes the
   // stripped cookies were responsible.
-  dom::Node* main = body.findFirst("main");
-  if (main == nullptr) return;
   util::Pcg32& rng = *context.fetchRng;
-  main->clearChildren();
+  page.main.clear();
   const int blocks = 2 + static_cast<int>(rng.uniform(0, 2));
   for (int i = 0; i < blocks; ++i) {
-    main->appendChild(makePromoBlock(rng, static_cast<int>(rng.uniform(0, 2))));
+    Block promo;
+    appendPromoBlock(promo.html, rng, static_cast<int>(rng.uniform(0, 2)));
+    page.main.push_back(std::move(promo));
   }
-  auto notice = dom::Node::makeElement("section");
-  notice->setAttribute("class", "fresh");
-  notice->appendChild(makeTextElement("h2", randomTitle(rng)));
-  notice->appendChild(makeTextElement("p", randomParagraph(rng, 2)));
-  main->appendChild(std::move(notice));
+  Block notice;
+  notice.html = "<section class=\"fresh\"><h2>";
+  appendTitle(notice.html, rng);
+  notice.html += "</h2><p>";
+  appendParagraph(notice.html, rng, 2);
+  notice.html += "</p></section>";
+  page.main.push_back(std::move(notice));
 }
 
 }  // namespace cookiepicker::server

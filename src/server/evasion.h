@@ -60,7 +60,7 @@ class EvasionBehavior : public SiteBehavior {
 
   void onRequest(const RenderContext& context,
                  net::HttpResponse& response) override;
-  void render(const RenderContext& context, dom::Node& body) override;
+  void render(const RenderContext& context, Page& page) override;
 
   std::uint64_t probesDetected() const { return probesDetected_; }
   HiddenRequestDetector& detector() { return detector_; }

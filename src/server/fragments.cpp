@@ -4,204 +4,143 @@
 
 namespace cookiepicker::server {
 
-using dom::Node;
-
-std::unique_ptr<Node> makeTextElement(const std::string& tag,
-                                      const std::string& text) {
-  auto element = Node::makeElement(tag);
-  element->appendChild(Node::makeText(text));
-  return element;
-}
-
-std::unique_ptr<Node> makeAdSlot() {
-  auto slot = Node::makeElement("div");
-  slot->setAttribute("class", "adslot");
-  return slot;
-}
-
-std::unique_ptr<Node> makeContentSection(util::Pcg32& rng, int paragraphs,
-                                         int adSlots,
-                                         bool rotatingHeadline) {
-  auto section = Node::makeElement("section");
-  section->setAttribute("class", "content");
-  section->appendChild(makeTextElement("h2", randomTitle(rng)));
+void appendContentSection(Block& block, util::Pcg32& rng, int paragraphs,
+                          int adSlots, bool rotatingHeadline) {
+  std::string& out = block.html;
+  out += "<section class=\"content\"><h2>";
+  appendTitle(out, rng);
+  out += "</h2>";
   if (rotatingHeadline) {
-    auto headline = Node::makeElement("h3");
-    headline->setAttribute("class", "rotating-headline");
-    headline->appendChild(Node::makeText(randomPhrase(rng, 5)));
-    section->appendChild(std::move(headline));
+    out += "<h3 class=\"rotating-headline\">";
+    std::string headline;
+    appendPhrase(headline, rng, 5);
+    block.addHole(HoleKind::Headline, std::move(headline));
+    out += "</h3>";
   }
   for (int p = 0; p < paragraphs; ++p) {
-    section->appendChild(makeTextElement(
-        "p", randomParagraph(rng, static_cast<int>(rng.uniform(1, 3)))));
+    out += "<p>";
+    appendParagraph(out, rng, static_cast<int>(rng.uniform(1, 3)));
+    out += "</p>";
   }
 
   // Widget block: section(3) > div.widget(4) > div.inner(5) > adslot(6)
   // counting depth from <body>=0, <div id=page>=1, <main>=2 — the slot and
   // its contents sit below the paper's l=5 comparison window.
-  auto widget = Node::makeElement("div");
-  widget->setAttribute("class", "widget");
-  auto list = Node::makeElement("ul");
+  out += "<div class=\"widget\"><ul>";
   const int items = static_cast<int>(rng.uniform(3, 6));
   for (int i = 0; i < items; ++i) {
-    auto item = Node::makeElement("li");
-    auto anchor = Node::makeElement("a");
-    anchor->setAttribute("href", "/" + randomWord(rng));
-    anchor->appendChild(Node::makeText(randomPhrase(rng, 2)));
-    item->appendChild(std::move(anchor));
-    list->appendChild(std::move(item));
+    out += "<li><a href=\"/";
+    appendWord(out, rng);
+    out += "\">";
+    appendPhrase(out, rng, 2);
+    out += "</a></li>";
   }
-  widget->appendChild(std::move(list));
-  auto inner = Node::makeElement("div");
-  inner->setAttribute("class", "inner");
+  out += "</ul><div class=\"inner\">";
   for (int a = 0; a < adSlots; ++a) {
-    inner->appendChild(makeAdSlot());
+    out += "<div class=\"adslot\">";
+    block.addHole(HoleKind::AdSlot);
+    out += "</div>";
   }
-  widget->appendChild(std::move(inner));
-  section->appendChild(std::move(widget));
-  return section;
+  out += "</div></div></section>";
 }
 
-std::unique_ptr<Node> makeSidebar(util::Pcg32& rng, const std::string& title,
-                                  int itemCount) {
-  auto sidebar = Node::makeElement("div");
-  sidebar->setAttribute("class", "sidebar");
-  sidebar->appendChild(makeTextElement("h3", title));
-  auto list = Node::makeElement("ul");
+void appendSidebar(std::string& out, util::Pcg32& rng, std::string_view title,
+                   int itemCount) {
+  out += "<div class=\"sidebar\"><h3>";
+  appendEscapedText(out, title);
+  out += "</h3><ul>";
   for (int i = 0; i < itemCount; ++i) {
-    auto item = Node::makeElement("li");
-    auto anchor = Node::makeElement("a");
-    anchor->setAttribute("href", "/" + randomWord(rng));
-    anchor->appendChild(Node::makeText(randomPhrase(rng, 3)));
-    item->appendChild(std::move(anchor));
-    list->appendChild(std::move(item));
+    out += "<li><a href=\"/";
+    appendWord(out, rng);
+    out += "\">";
+    appendPhrase(out, rng, 3);
+    out += "</a></li>";
   }
-  sidebar->appendChild(std::move(list));
-  return sidebar;
+  out += "</ul></div>";
 }
 
-std::unique_ptr<Node> makeNav(const std::string& siteTitle, int pageCount) {
-  auto header = Node::makeElement("header");
-  header->appendChild(makeTextElement("h1", siteTitle));
-  auto nav = Node::makeElement("nav");
-  auto list = Node::makeElement("ul");
-  const int links = std::min(pageCount, 6);
-  for (int i = 0; i < links; ++i) {
-    auto item = Node::makeElement("li");
-    auto anchor = Node::makeElement("a");
-    anchor->setAttribute("href", i == 0 ? "/" : "/page" + std::to_string(i));
-    anchor->appendChild(
-        Node::makeText(i == 0 ? "Home" : "Section " + std::to_string(i)));
-    item->appendChild(std::move(anchor));
-    list->appendChild(std::move(item));
-  }
-  nav->appendChild(std::move(list));
-  header->appendChild(std::move(nav));
-  return header;
+void appendSignUpForm(std::string& out, util::Pcg32& rng) {
+  out += "<div class=\"signup-wall\"><h2>Create your account</h2>"
+         "<p>Please sign up to access ";
+  appendPhrase(out, rng, 3);
+  out += ".</p><form action=\"/signup\" method=\"post\">"
+         "<div class=\"form-row\"><label for=\"username\">username</label>"
+         "<input name=\"username\" type=\"text\"></div>"
+         "<div class=\"form-row\"><label for=\"email\">email</label>"
+         "<input name=\"email\" type=\"text\"></div>"
+         "<div class=\"form-row\"><label for=\"password\">password</label>"
+         "<input name=\"password\" type=\"password\"></div>"
+         "<input type=\"submit\" value=\"Sign up\"></form>"
+         "<p>Membership includes ";
+  appendPhrase(out, rng, 4);
+  out += ".</p></div>";
 }
 
-std::unique_ptr<Node> makeSignUpForm(util::Pcg32& rng) {
-  auto wall = Node::makeElement("div");
-  wall->setAttribute("class", "signup-wall");
-  wall->appendChild(makeTextElement("h2", "Create your account"));
-  wall->appendChild(makeTextElement(
-      "p", "Please sign up to access " + randomPhrase(rng, 3) + "."));
-  auto form = Node::makeElement("form");
-  form->setAttribute("action", "/signup");
-  form->setAttribute("method", "post");
-  for (const char* field : {"username", "email", "password"}) {
-    auto row = Node::makeElement("div");
-    row->setAttribute("class", "form-row");
-    auto label = Node::makeElement("label");
-    label->setAttribute("for", field);
-    label->appendChild(Node::makeText(std::string(field)));
-    row->appendChild(std::move(label));
-    auto input = Node::makeElement("input");
-    input->setAttribute("name", field);
-    input->setAttribute("type",
-                        std::string(field) == "password" ? "password"
-                                                         : "text");
-    row->appendChild(std::move(input));
-    form->appendChild(std::move(row));
-  }
-  auto submit = Node::makeElement("input");
-  submit->setAttribute("type", "submit");
-  submit->setAttribute("value", "Sign up");
-  form->appendChild(std::move(submit));
-  wall->appendChild(std::move(form));
-  wall->appendChild(makeTextElement(
-      "p", "Membership includes " + randomPhrase(rng, 4) + "."));
-  return wall;
-}
-
-std::unique_ptr<Node> makeResultList(util::Pcg32& rng, int count) {
-  auto results = Node::makeElement("div");
-  results->setAttribute("class", "results");
-  auto list = Node::makeElement("ol");
+void appendResultList(std::string& out, util::Pcg32& rng, int count) {
+  out += "<div class=\"results\"><ol>";
   for (int i = 0; i < count; ++i) {
-    auto item = Node::makeElement("li");
-    auto anchor = Node::makeElement("a");
-    anchor->setAttribute("href", "/result" + std::to_string(i));
-    anchor->appendChild(Node::makeText(randomTitle(rng)));
-    item->appendChild(std::move(anchor));
-    item->appendChild(Node::makeText(" — " + randomPhrase(rng, 6, true)));
-    list->appendChild(std::move(item));
+    out += "<li><a href=\"/result";
+    out += std::to_string(i);
+    out += "\">";
+    appendTitle(out, rng);
+    out += "</a> — ";
+    appendPhrase(out, rng, 6, /*sentence=*/true);
+    out += "</li>";
   }
-  results->appendChild(std::move(list));
-  return results;
+  out += "</ol></div>";
 }
 
-std::unique_ptr<Node> makePromoBlock(util::Pcg32& rng, int variant) {
+void appendPromoBlock(std::string& out, util::Pcg32& rng, int variant) {
   // Each variant has a genuinely different element structure so that when a
   // site swaps variants between fetches, the change registers high in the
   // tree (the page dynamics that cause the paper's false positives).
-  auto promo = Node::makeElement("div");
-  // NB: class must not trip CVCE's ad-token filter ("promo" would).
-  promo->setAttribute("class", "hero variant" + std::to_string(variant));
+  // NB: the class must not trip CVCE's ad-token filter ("promo" would).
+  out += "<div class=\"hero variant";
+  out += std::to_string(variant);
+  out += "\">";
   switch (variant % 3) {
-    case 0: {
-      promo->appendChild(makeTextElement("h2", randomTitle(rng)));
-      auto table = Node::makeElement("table");
+    case 0:
+      out += "<h2>";
+      appendTitle(out, rng);
+      out += "</h2><table>";
       for (int r = 0; r < 3; ++r) {
-        auto row = Node::makeElement("tr");
+        out += "<tr>";
         for (int c = 0; c < 3; ++c) {
-          row->appendChild(makeTextElement("td", randomPhrase(rng, 2)));
+          out += "<td>";
+          appendPhrase(out, rng, 2);
+          out += "</td>";
         }
-        table->appendChild(std::move(row));
+        out += "</tr>";
       }
-      promo->appendChild(std::move(table));
+      out += "</table>";
       break;
-    }
-    case 1: {
-      auto figure = Node::makeElement("figure");
-      auto image = Node::makeElement("img");
-      image->setAttribute("src", "/assets/promo" +
-                                     std::to_string(rng.uniform(1, 5)) +
-                                     ".png");
-      figure->appendChild(std::move(image));
-      figure->appendChild(
-          makeTextElement("figcaption", randomPhrase(rng, 4)));
-      promo->appendChild(std::move(figure));
-      auto list = Node::makeElement("ul");
+    case 1:
+      out += "<figure><img src=\"/assets/promo";
+      out += std::to_string(rng.uniform(1, 5));
+      out += ".png\"><figcaption>";
+      appendPhrase(out, rng, 4);
+      out += "</figcaption></figure><ul>";
       for (int i = 0; i < 4; ++i) {
-        list->appendChild(makeTextElement("li", randomPhrase(rng, 3)));
+        out += "<li>";
+        appendPhrase(out, rng, 3);
+        out += "</li>";
       }
-      promo->appendChild(std::move(list));
+      out += "</ul>";
       break;
-    }
-    default: {
-      promo->appendChild(makeTextElement("h2", randomTitle(rng)));
+    default:
+      out += "<h2>";
+      appendTitle(out, rng);
+      out += "</h2>";
       for (int i = 0; i < 3; ++i) {
-        auto block = Node::makeElement("blockquote");
-        block->appendChild(
-            makeTextElement("p", randomParagraph(rng, 1)));
-        block->appendChild(makeTextElement("cite", randomPhrase(rng, 2)));
-        promo->appendChild(std::move(block));
+        out += "<blockquote><p>";
+        appendParagraph(out, rng, 1);
+        out += "</p><cite>";
+        appendPhrase(out, rng, 2);
+        out += "</cite></blockquote>";
       }
       break;
-    }
   }
-  return promo;
+  out += "</div>";
 }
 
 }  // namespace cookiepicker::server

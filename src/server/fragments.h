@@ -1,50 +1,37 @@
-// Reusable DOM fragment builders for synthetic pages.
+// HTML fragment builders for synthetic pages.
 //
-// Every builder takes an RNG so content is deterministic per stream: page
-// skeletons pass the per-(site,path) stable stream, noise sources pass the
-// per-fetch stream.
+// Every builder appends finished markup and takes an RNG so content is
+// deterministic per stream: page skeletons pass the per-(site,path) stable
+// stream, noise sources pass the per-fetch stream.
 #pragma once
 
-#include <memory>
 #include <string>
+#include <string_view>
 
-#include "dom/node.h"
+#include "server/page.h"
 #include "util/rng.h"
 
 namespace cookiepicker::server {
 
-// <h2>Title</h2><p>...</p>... wrapped in <section>, with a nested widget
-// block deep enough that its ad slot sits below RSTM's default level cut.
-std::unique_ptr<dom::Node> makeContentSection(util::Pcg32& rng,
-                                              int paragraphs,
-                                              int adSlots,
-                                              bool rotatingHeadline);
+// <section class="content"><h2>Title</h2><p>...</p>... with a nested widget
+// block deep enough that its ad slots sit below RSTM's default level cut.
+// The rotating headline's text and each (initially empty) ad slot are holes
+// of `block`.
+void appendContentSection(Block& block, util::Pcg32& rng, int paragraphs,
+                          int adSlots, bool rotatingHeadline);
 
 // <div class="sidebar"><h3>title</h3><ul><li><a>..</a></li>...</ul></div>
-std::unique_ptr<dom::Node> makeSidebar(util::Pcg32& rng,
-                                       const std::string& title,
-                                       int itemCount);
-
-// Nav bar linking to the site's pages.
-std::unique_ptr<dom::Node> makeNav(const std::string& siteTitle,
-                                   int pageCount);
+void appendSidebar(std::string& out, util::Pcg32& rng, std::string_view title,
+                   int itemCount);
 
 // A sign-up form (labels, inputs, submit) — the content of a sign-up wall.
-std::unique_ptr<dom::Node> makeSignUpForm(util::Pcg32& rng);
+void appendSignUpForm(std::string& out, util::Pcg32& rng);
 
 // <div class="results"><ol><li>result</li> x count</ol></div>
-std::unique_ptr<dom::Node> makeResultList(util::Pcg32& rng, int count);
-
-// An empty ad slot placeholder (<div class="adslot">) that AdRotationNoise
-// fills per fetch.
-std::unique_ptr<dom::Node> makeAdSlot();
+void appendResultList(std::string& out, util::Pcg32& rng, int count);
 
 // A promo/hero block; `variant` selects between structurally different
 // layouts (used by LayoutShuffleNoise to create upper-level dynamics).
-std::unique_ptr<dom::Node> makePromoBlock(util::Pcg32& rng, int variant);
-
-// Convenience: element with a text child.
-std::unique_ptr<dom::Node> makeTextElement(const std::string& tag,
-                                           const std::string& text);
+void appendPromoBlock(std::string& out, util::Pcg32& rng, int variant);
 
 }  // namespace cookiepicker::server

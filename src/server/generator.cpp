@@ -1,6 +1,5 @@
 #include "server/generator.h"
 
-#include "dom/serialize.h"
 #include "server/p3p.h"
 #include "server/fragments.h"
 #include "util/rng.h"
@@ -316,35 +315,28 @@ SiteSpec makeGenericSpec(const std::string& label, const std::string& domain,
 
 std::string generateLargePageHtml(int sections, std::uint64_t seed) {
   util::Pcg32 rng(seed, 0x6c617267UL);
-  auto document = dom::Node::makeDocument();
-  auto& html = document->appendChild(dom::Node::makeElement("html"));
-  auto& head = html.appendChild(dom::Node::makeElement("head"));
-  head.appendChild(makeTextElement("title", "large page"));
-  auto& body = html.appendChild(dom::Node::makeElement("body"));
-  auto& main = body.appendChild(dom::Node::makeElement("main"));
+  Block page;
+  page.html = "<html><head><title>large page</title></head><body><main>";
   // Real pages are hierarchical, not a flat list of hundreds of siblings:
   // group sections into zones of 8 and zones into chapter divs of 8, so the
   // tree grows in depth as well as width (this is also what makes RSTM's
   // level restriction effective on big pages).
   constexpr int kFanOut = 8;
-  dom::Node* chapter = nullptr;
-  dom::Node* zone = nullptr;
   for (int s = 0; s < sections; ++s) {
     if (s % (kFanOut * kFanOut) == 0) {
-      auto element = dom::Node::makeElement("div");
-      element->setAttribute("class", "chapter");
-      chapter = &main.appendChild(std::move(element));
+      if (s > 0) page.html += "</div></div>";
+      page.html += "<div class=\"chapter\"><div class=\"zone\">";
+    } else if (s % kFanOut == 0) {
+      page.html += "</div><div class=\"zone\">";
     }
-    if (s % kFanOut == 0) {
-      auto element = dom::Node::makeElement("div");
-      element->setAttribute("class", "zone");
-      zone = &chapter->appendChild(std::move(element));
-    }
-    zone->appendChild(makeContentSection(rng, /*paragraphs=*/3,
-                                         /*adSlots=*/1,
-                                         /*rotatingHeadline=*/true));
+    appendContentSection(page, rng, /*paragraphs=*/3, /*adSlots=*/1,
+                         /*rotatingHeadline=*/true);
   }
-  return dom::toHtml(*document);
+  if (sections > 0) page.html += "</div></div>";
+  page.html += "</main></body></html>";
+  std::string html;
+  emitBlock(html, page, nullptr);
+  return html;
 }
 
 }  // namespace cookiepicker::server

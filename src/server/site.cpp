@@ -1,16 +1,13 @@
 #include "server/site.h"
 
-#include "dom/serialize.h"
+#include <algorithm>
+
 #include "net/cookie_parse.h"
 #include "server/fragments.h"
-#include "server/words.h"
-#include "util/strings.h"
 
 namespace cookiepicker::server {
 
 namespace {
-
-using dom::Node;
 
 bool isAssetPath(const std::string& path) {
   return path.starts_with("/assets/") || path.starts_with("/metrics/") ||
@@ -116,65 +113,90 @@ net::HttpResponse WebSite::serveAsset(const net::HttpRequest& request,
   return response;
 }
 
-std::unique_ptr<Node> WebSite::buildDocument(const std::string& path,
-                                             util::Pcg32& stableRng) {
-  auto document = Node::makeDocument();
-  document->appendChild(Node::makeDoctype("html"));
-  Node& html = document->appendChild(Node::makeElement("html"));
-
-  Node& head = html.appendChild(Node::makeElement("head"));
-  head.appendChild(makeTextElement(
-      "title", config_.title + (path == "/" ? "" : " — " + path)));
-  auto css = Node::makeElement("link");
-  css->setAttribute("rel", "stylesheet");
-  css->setAttribute("href", "/assets/site.css");
-  head.appendChild(std::move(css));
-  auto script = Node::makeElement("script");
-  script->setAttribute("src", "/assets/app.js");
-  head.appendChild(std::move(script));
-
-  Node& body = html.appendChild(Node::makeElement("body"));
-  body.appendChild(
-      Node::makeComment(" generated by cookiepicker synthetic web "));
-  Node& page = body.appendChild(Node::makeElement("div"));
-  page.setAttribute("id", "page");
-
-  page.appendChild(makeNav(config_.title, config_.pageCount));
-
-  Node& main = page.appendChild(Node::makeElement("main"));
+Page WebSite::buildPage(util::Pcg32& stableRng) const {
+  Page page;
+  page.heading = config_.title;
   const int sections =
       config_.sectionsPerPage +
       static_cast<int>(stableRng.uniform(0, 1));  // 4 or 5, stable per path
+  page.main.resize(static_cast<std::size_t>(sections));
   for (int s = 0; s < sections; ++s) {
-    main.appendChild(makeContentSection(
-        stableRng, config_.paragraphsPerSection, config_.adSlotsPerSection,
-        config_.rotatingHeadlines && s % 2 == 0));
+    Block& section = page.main[static_cast<std::size_t>(s)];
+    section.kind = BlockKind::Content;
+    appendContentSection(section, stableRng, config_.paragraphsPerSection,
+                         config_.adSlotsPerSection,
+                         config_.rotatingHeadlines && s % 2 == 0);
   }
 
   // A handful of plain images (object requests for the browser to fetch).
-  Node& footer = page.appendChild(Node::makeElement("footer"));
+  std::string& footer = page.footer.html;
+  footer = "<footer>";
   for (int i = 0; i < config_.plainImages; ++i) {
-    auto image = Node::makeElement("img");
-    image->setAttribute("src",
-                        "/assets/banner" + std::to_string(i) + ".png");
-    footer.appendChild(std::move(image));
+    footer += "<img src=\"/assets/banner" + std::to_string(i) + ".png\">";
   }
   for (int i = 0; i < config_.pixelTrackers; ++i) {
-    auto pixel = Node::makeElement("img");
-    pixel->setAttribute(
-        "src", "/metrics/" + std::to_string(i) + "/pixel.gif");
-    pixel->setAttribute("width", "1");
-    pixel->setAttribute("height", "1");
-    footer.appendChild(std::move(pixel));
+    footer += "<img src=\"/metrics/" + std::to_string(i) +
+              "/pixel.gif\" width=\"1\" height=\"1\">";
   }
-  footer.appendChild(makeTextElement(
-      "p", "(c) " + config_.title + " — all rights reserved."));
+  footer += "<p>(c) ";
+  appendEscapedText(footer, config_.title);
+  footer += " — all rights reserved.</p>";
   if (config_.timestampInFooter) {
-    auto stamp = Node::makeElement("span");
-    stamp->setAttribute("class", "timestamp");
-    footer.appendChild(std::move(stamp));
+    footer += "<span class=\"timestamp\">";
+    page.footer.addHole(HoleKind::Timestamp);
+    footer += "</span>";
   }
-  return document;
+  footer += "</footer>";
+  return page;
+}
+
+void WebSite::emitPage(const Page& page, const std::string& path,
+                       provenance::ProvenanceMap* map,
+                       std::string& out) const {
+  const auto emitAll = [&](const std::vector<Block>& blocks) {
+    for (const Block& block : blocks) emitBlock(out, block, map);
+  };
+  out += "<!DOCTYPE html><html><head><title>";
+  appendEscapedText(out, config_.title);
+  if (path != "/") {
+    out += " — ";
+    appendEscapedText(out, path);
+  }
+  out += "</title><link rel=\"stylesheet\" href=\"/assets/site.css\">"
+         "<script src=\"/assets/app.js\"></script></head><body>"
+         "<!-- generated by cookiepicker synthetic web --><div id=\"page\">"
+         "<header>";
+  const std::size_t headingStart = out.size();
+  out += "<h1>";
+  appendEscapedText(out, page.heading);
+  out += "</h1>";
+  const std::size_t headingEnd = out.size();
+  // Nav bar linking to the site's first pages.
+  out += "<nav><ul>";
+  for (int i = 0; i < std::min(config_.pageCount, 6); ++i) {
+    const std::string index = std::to_string(i);
+    out += i == 0 ? "<li><a href=\"/\">Home</a></li>"
+                  : "<li><a href=\"/page" + index + "\">Section " + index +
+                        "</a></li>";
+  }
+  out += "</ul></nav>";
+  emitAll(page.header);
+  out += "</header>";
+  emitAll(page.beforeMain);
+  const std::size_t mainStart = out.size();
+  out += "<main>";
+  emitAll(page.main);
+  out += "</main>";
+  if (map != nullptr) {
+    map->add(static_cast<std::uint32_t>(headingStart),
+             static_cast<std::uint32_t>(headingEnd), page.headingTaint);
+    map->add(static_cast<std::uint32_t>(mainStart),
+             static_cast<std::uint32_t>(out.size()), page.mainTaint);
+  }
+  emitBlock(out, page.footer, map);
+  out += "</div>";
+  emitAll(page.tail);
+  out += "</body></html>";
 }
 
 net::HttpResponse WebSite::servePage(const net::HttpRequest& request,
@@ -187,8 +209,9 @@ net::HttpResponse WebSite::servePage(const net::HttpRequest& request,
   provenance::TaintRecorder recorder;
   if (wantProvenance) context.taint = &recorder;
 
-  std::unique_ptr<Node> document =
-      buildDocument(context.path, *context.stableRng);
+  // Skeleton draws on the stable stream, then onRequest, then each render
+  // in registration order: the order every RNG draw and taint read keeps.
+  Page page = buildPage(*context.stableRng);
 
   net::HttpResponse response;
   response.status = 200;
@@ -198,23 +221,20 @@ net::HttpResponse WebSite::servePage(const net::HttpRequest& request,
   for (auto& behavior : behaviors_) {
     behavior->onRequest(context, response);
   }
-  Node* body = document->findFirst("body");
-  if (body != nullptr) {
-    for (auto& behavior : behaviors_) {
-      behavior->render(context, *body);
-    }
+  for (auto& behavior : behaviors_) {
+    behavior->render(context, page);
   }
+
+  // One emitter for both paths; with provenance it also records the output
+  // range of every tainted piece, shipped out of band.
+  provenance::ProvenanceMap map;
+  emitPage(page, context.path, wantProvenance ? &map : nullptr,
+           response.body);
   if (wantProvenance) {
-    // Identical bytes to dom::toHtml — the serializer is shared — plus the
-    // output ranges of every tainted subtree, shipped out of band.
-    provenance::ProvenanceMap map;
-    response.body = dom::toHtmlWithProvenance(*document, map);
     map.setLabelNames(recorder.labels());
     response.headers.set(provenance::kCookieProvenanceHeader,
                          map.encodeHeader());
     context.taint = nullptr;
-  } else {
-    response.body = dom::toHtml(*document);
   }
   return response;
 }

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "dom/node.h"
 #include "net/network.h"
 #include "server/behaviors.h"
 #include "util/clock.h"
@@ -42,7 +41,7 @@ class WebSite : public net::HttpHandler {
   WebSite(SiteConfig config, util::SimClock& clock);
 
   // Behaviors run in registration order; later render() calls see earlier
-  // mutations.
+  // edits of the page model.
   void addBehavior(std::unique_ptr<SiteBehavior> behavior);
 
   net::HttpResponse handle(const net::HttpRequest& request) override;
@@ -57,8 +56,11 @@ class WebSite : public net::HttpHandler {
                               RenderContext& context);
   net::HttpResponse serveAsset(const net::HttpRequest& request,
                                RenderContext& context);
-  std::unique_ptr<dom::Node> buildDocument(const std::string& path,
-                                           util::Pcg32& stableRng);
+  // The parts of a page behaviors may edit, as the skeleton has them.
+  Page buildPage(util::Pcg32& stableRng) const;
+  // Appends the whole document: the fixed skeleton around `page`.
+  void emitPage(const Page& page, const std::string& path,
+                provenance::ProvenanceMap* map, std::string& out) const;
 
   SiteConfig config_;
   util::SimClock& clock_;

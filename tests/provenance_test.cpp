@@ -362,9 +362,7 @@ class SharedRegionBehavior : public server::SiteBehavior {
     }
   }
   void render(const server::RenderContext& context,
-              dom::Node& body) override {
-    dom::Node* main = body.findFirst("main");
-    if (main == nullptr) return;
+              server::Page& page) override {
     const provenance::LabelSet taint =
         context.taintFor("shared-a") | context.taintFor("shared-b");
     // The effect must dominate the page the way PreferenceCookieBehavior's
@@ -372,34 +370,25 @@ class SharedRegionBehavior : public server::SiteBehavior {
     // forgivable layout churn to the decision algorithms.
     if (context.hasCookie("shared-a")) {
       for (int section = 0; section < 3; ++section) {
-        auto banner = dom::Node::makeElement("section");
-        banner->setAttribute("class", "shared-banner");
-        auto heading = dom::Node::makeElement("h2");
-        heading->appendChild(dom::Node::makeText(
-            "Your shortcuts " + std::to_string(section)));
-        banner->appendChild(std::move(heading));
-        auto list = dom::Node::makeElement("ul");
+        server::Block banner;
+        banner.taint = taint;
+        banner.html = "<section class=\"shared-banner\"><h2>Your shortcuts " +
+                      std::to_string(section) + "</h2><ul>";
         for (int i = 0; i < 6; ++i) {
-          auto item = dom::Node::makeElement("li");
-          item->appendChild(dom::Node::makeText(
-              "pinned entry " + std::to_string(section) + "-" +
-              std::to_string(i)));
-          list->appendChild(std::move(item));
+          banner.html += "<li>pinned entry " + std::to_string(section) + "-" +
+                         std::to_string(i) + "</li>";
         }
-        banner->appendChild(std::move(list));
-        banner->addTaintLabels(taint);
-        main->insertChild(0, std::move(banner));
+        banner.html += "</ul></section>";
+        page.main.insert(page.main.begin(), std::move(banner));
       }
       // And the generic sections give way to the personalized ones.
-      while (main->childCount() > 4) {
-        main->removeChild(main->childCount() - 1);
-      }
+      if (page.main.size() > 4) page.main.resize(4);
     } else {
-      auto hint = dom::Node::makeElement("p");
-      hint->setAttribute("class", "shared-banner");
-      hint->appendChild(dom::Node::makeText("Pin pages to see them here."));
-      hint->addTaintLabels(taint);
-      main->insertChild(0, std::move(hint));
+      server::Block hint;
+      hint.taint = taint;
+      hint.html =
+          "<p class=\"shared-banner\">Pin pages to see them here.</p>";
+      page.main.insert(page.main.begin(), std::move(hint));
     }
   }
 };

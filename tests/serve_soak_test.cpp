@@ -115,6 +115,66 @@ TEST(ServeSoak, FaultySocketVerdictsMatchFaultFreeSimReference) {
 
 // The verdict service behind its own HTTP listener: the full
 // `cookiepicker serve` shape, queried over the wire.
+// /verdict?views= is a decimal integer in [1, kMaxVerdictViews]; anything
+// else is a 400 before any session runs, and valid counts are served as
+// before.
+TEST(ServeSoak, VerdictViewsParameterIsStrictAndCapped) {
+  const std::vector<server::SiteSpec> roster = server::table2Roster();
+  const std::string host = roster.front().domain;
+  // A fresh world per request, so every verdict starts from the same state.
+  const auto ask = [&](const std::string& query) {
+    util::SimClock siteClock;
+    net::Network network(kSeed);
+    serve::VerdictService service(network, {});
+    for (const auto& spec : roster) {
+      network.registerHost(spec.domain, server::buildSite(spec, siteClock),
+                           spec.latencyProfile());
+      service.addHost(spec.domain, spec.pageCount);
+    }
+    net::HttpRequest request;
+    request.url =
+        net::Url::parse("http://verdicts.local/verdict?host=" + host + query)
+            .value();
+    const net::HttpResponse response = service.handle(request);
+    if (response.status != 200) {
+      EXPECT_EQ(service.sessionsRun(), 0u) << query;
+    }
+    return response;
+  };
+
+  for (const std::string junk :
+       {"abc", "12abc", " 12", "+12", "0x10", "1.5", "1e3", "0", "-3",
+        "1001", "2000000000", "99999999999999999999"}) {
+    const net::HttpResponse response = ask("&views=" + junk);
+    EXPECT_EQ(response.status, 400) << junk;
+    EXPECT_EQ(response.body,
+              "{\"error\":\"views must be an integer in 1.." +
+                  std::to_string(serve::kMaxVerdictViews) + "\"}")
+        << junk;
+  }
+
+  // views=12 is the default count and reads exactly as before.
+  std::string direct;
+  {
+    util::SimClock siteClock;
+    net::Network network(kSeed);
+    serve::VerdictService service(network, {});
+    for (const auto& spec : roster) {
+      network.registerHost(spec.domain, server::buildSite(spec, siteClock),
+                           spec.latencyProfile());
+      service.addHost(spec.domain, spec.pageCount);
+    }
+    direct = service.runVerdict(host, 12);
+  }
+  const net::HttpResponse twelve = ask("&views=12");
+  EXPECT_EQ(twelve.status, 200);
+  EXPECT_EQ(twelve.body, direct);
+  EXPECT_NE(twelve.body.find("\"views\":12,"), std::string::npos);
+  EXPECT_EQ(ask("").body, direct);
+  EXPECT_EQ(ask("&views=" + std::to_string(serve::kMaxVerdictViews)).status,
+            200);
+}
+
 TEST(ServeSoak, VerdictEndpointServesOverTheWire) {
   const std::vector<server::SiteSpec> roster = server::table2Roster();
   const int views = 4;  // parity is parity; keep the wire test quick

@@ -1,4 +1,4 @@
-// Unit tests for the synthetic-web building blocks: word generation, DOM
+// Unit tests for the synthetic-web building blocks: word generation, HTML
 // fragments, render-context plumbing, lifetime distribution, and behavior
 // ordering inside WebSite.
 #include <gtest/gtest.h>
@@ -17,6 +17,33 @@
 
 namespace cookiepicker::server {
 namespace {
+
+// The word generators append; these return what one call appends.
+std::string randomWord(util::Pcg32& rng) {
+  std::string out;
+  appendWord(out, rng);
+  return out;
+}
+std::string randomPhrase(util::Pcg32& rng, int count, bool sentence = false) {
+  std::string out;
+  appendPhrase(out, rng, count, sentence);
+  return out;
+}
+std::string randomParagraph(util::Pcg32& rng, int sentences) {
+  std::string out;
+  appendParagraph(out, rng, sentences);
+  return out;
+}
+std::string randomTitle(util::Pcg32& rng) {
+  std::string out;
+  appendTitle(out, rng);
+  return out;
+}
+std::string randomAdCopy(util::Pcg32& rng) {
+  std::string out;
+  appendAdCopy(out, rng);
+  return out;
+}
 
 // --- words -----------------------------------------------------------------
 
@@ -67,6 +94,48 @@ TEST(Words, AdCopyLooksLikeAdCopy) {
 }
 
 // --- fragments --------------------------------------------------------------
+
+// Parses one emitted fragment back into a detached tree.
+std::unique_ptr<dom::Node> parseFragment(const std::string& html) {
+  const auto document = html::parseHtml(html);
+  const dom::Node* body = document->findFirst("body");
+  return body->child(0).clone();
+}
+
+std::unique_ptr<dom::Node> makeContentSection(util::Pcg32& rng,
+                                              int paragraphs, int adSlots,
+                                              bool rotatingHeadline) {
+  Block block;
+  appendContentSection(block, rng, paragraphs, adSlots, rotatingHeadline);
+  std::string html;
+  emitBlock(html, block, nullptr);
+  return parseFragment(html);
+}
+
+std::unique_ptr<dom::Node> makeSidebar(util::Pcg32& rng,
+                                       std::string_view title, int items) {
+  std::string html;
+  appendSidebar(html, rng, title, items);
+  return parseFragment(html);
+}
+
+std::unique_ptr<dom::Node> makeResultList(util::Pcg32& rng, int count) {
+  std::string html;
+  appendResultList(html, rng, count);
+  return parseFragment(html);
+}
+
+std::unique_ptr<dom::Node> makeSignUpForm(util::Pcg32& rng) {
+  std::string html;
+  appendSignUpForm(html, rng);
+  return parseFragment(html);
+}
+
+std::unique_ptr<dom::Node> makePromoBlock(util::Pcg32& rng, int variant) {
+  std::string html;
+  appendPromoBlock(html, rng, variant);
+  return parseFragment(html);
+}
 
 TEST(Fragments, ContentSectionShape) {
   util::Pcg32 rng(3, 1);
@@ -171,10 +240,10 @@ TEST(WebSiteInternals, BehaviorsRunInRegistrationOrder) {
 
   struct Stamper : SiteBehavior {
     explicit Stamper(std::string tag) : tag_(std::move(tag)) {}
-    void render(const RenderContext&, dom::Node& body) override {
-      auto marker = dom::Node::makeElement("span");
-      marker->setAttribute("class", "stamp-" + tag_);
-      body.appendChild(std::move(marker));
+    void render(const RenderContext&, Page& page) override {
+      Block marker;
+      marker.html = "<span class=\"stamp-" + tag_ + "\"></span>";
+      page.tail.push_back(std::move(marker));
     }
     std::string tag_;
   };

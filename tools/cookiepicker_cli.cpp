@@ -541,7 +541,7 @@ int runStats(const Options& options) {
                 obs::timerName(timer),
                 static_cast<unsigned long long>(histogram.count),
                 histogram.totalMs(), histogram.meanMs(),
-                histogram.percentileMs(0.90), share.c_str());
+                histogram.percentileMs(90.0), share.c_str());
   }
   const std::string auditJsonl = report.auditJsonl();
   std::printf("\naudit records        : %llu\n",
