@@ -22,6 +22,20 @@ double ThinkTimeModel::sampleMs(util::Pcg32& rng) const {
   return std::max(floorMs_, rng.logNormal(mu_, sigma_));
 }
 
+net::RetrySpec toRetrySpec(const RetryPolicy& policy,
+                           std::uint64_t retriesUsed) {
+  net::RetrySpec spec;
+  spec.maxAttempts = policy.maxAttempts;
+  spec.initialBackoffMs = policy.initialBackoffMs;
+  spec.backoffMultiplier = policy.backoffMultiplier;
+  spec.maxBackoffMs = policy.maxBackoffMs;
+  spec.jitterFraction = policy.jitterFraction;
+  spec.retryBudget = retriesUsed >= policy.sessionRetryBudget
+                         ? 0
+                         : policy.sessionRetryBudget - retriesUsed;
+  return spec;
+}
+
 Browser::Browser(net::Transport& transport, util::SimClock& clock,
                  cookies::CookiePolicy policy, std::uint64_t seed)
     : transport_(transport),
@@ -183,11 +197,11 @@ PageView Browser::visit(const net::Url& url) {
     obs::count(obs::Counter::RedirectsFollowed);
   }
 
-  view.url = current;
-  view.containerRequest = request;
+  view.url = std::move(current);
+  view.containerRequest = std::move(request);
   view.status = exchange.response.status;
-  view.containerHtml = exchange.response.body;
   view.provenance = extractProvenance(exchange.response);
+  view.containerHtml = std::move(exchange.response.body);
   if (domMode_ == DomMode::Streaming) {
     // One pass: tokens flow straight into the snapshot arrays, and the
     // subresource references fall out of the same walk. No node tree.
@@ -285,8 +299,9 @@ HiddenFetchPlan Browser::planHiddenFetch(
 }
 
 HiddenFetchResult Browser::completeHiddenFetch(
-    HiddenFetchPlan plan, const net::Exchange& finalExchange, int attempts,
+    HiddenFetchPlan plan, net::Exchange finalExchange, int attempts,
     double latencySoFarMs, bool degraded, std::string degradedReason) {
+  ++hiddenRequestsSent_;
   HiddenFetchResult result;
   result.strippedCookies = std::move(plan.strippedCookies);
   result.attempts = attempts;
@@ -295,8 +310,8 @@ HiddenFetchResult Browser::completeHiddenFetch(
   result.degradedReason = std::move(degradedReason);
   result.truncated = net::bodyTruncated(finalExchange.response);
   result.status = finalExchange.response.status;
-  result.html = finalExchange.response.body;
   result.provenance = extractProvenance(finalExchange.response);
+  result.html = std::move(finalExchange.response.body);
   // Flattened by the same pipeline as the regular copy, per Section 3.2
   // step three (the hidden copy fetches no objects, so its page info is
   // discarded).
@@ -332,18 +347,8 @@ HiddenFetchResult Browser::hiddenFetch(
     // Socket mode: attempts and backoffs run on the transport's event-loop
     // timer wheel, in real time. The virtual clock still records the
     // measured wait so session timing stays coherent.
-    net::RetrySpec spec;
-    spec.maxAttempts = hiddenRetryPolicy_.maxAttempts;
-    spec.initialBackoffMs = hiddenRetryPolicy_.initialBackoffMs;
-    spec.backoffMultiplier = hiddenRetryPolicy_.backoffMultiplier;
-    spec.maxBackoffMs = hiddenRetryPolicy_.maxBackoffMs;
-    spec.jitterFraction = hiddenRetryPolicy_.jitterFraction;
-    spec.retryBudget =
-        hiddenRetriesUsed_ >= hiddenRetryPolicy_.sessionRetryBudget
-            ? 0
-            : hiddenRetryPolicy_.sessionRetryBudget - hiddenRetriesUsed_;
-    net::FetchOutcome outcome =
-        transport_.dispatchWithRetry(plan.request, spec);
+    net::FetchOutcome outcome = transport_.dispatchWithRetry(
+        plan.request, toRetrySpec(hiddenRetryPolicy_, hiddenRetriesUsed_));
     hiddenRetriesUsed_ += static_cast<std::uint64_t>(outcome.retriesUsed);
     obs::count(obs::Counter::HiddenFetchRetries,
                static_cast<std::uint64_t>(outcome.retriesUsed));
@@ -356,7 +361,7 @@ HiddenFetchResult Browser::hiddenFetch(
     const double earlierMs =
         outcome.totalLatencyMs - outcome.exchange.latencyMs;
     clock_.advanceMs(static_cast<util::SimTimeMs>(earlierMs));
-    return completeHiddenFetch(std::move(plan), outcome.exchange,
+    return completeHiddenFetch(std::move(plan), std::move(outcome.exchange),
                                outcome.attempts, earlierMs, outcome.degraded,
                                std::move(outcome.failureReason));
   }
@@ -367,6 +372,9 @@ HiddenFetchResult Browser::hiddenFetch(
   // exactly where the pre-retry code advanced it, so a clean fetch replays
   // byte-identically.
   net::HttpRequest& request = plan.request;
+  const net::RetrySpec spec =
+      toRetrySpec(hiddenRetryPolicy_, hiddenRetriesUsed_);
+  std::uint64_t budgetLeft = spec.retryBudget;
   net::Exchange exchange;
   std::string failureReason;
   int attempts = 0;
@@ -378,12 +386,12 @@ HiddenFetchResult Browser::hiddenFetch(
     ++attempts;
     failureReason = net::fetchFailureReason(exchange.response);
     if (failureReason.empty()) break;
-    if (attempt + 1 >= hiddenRetryPolicy_.maxAttempts) {
+    if (attempt + 1 >= spec.maxAttempts) {
       degraded = true;
       obs::count(obs::Counter::HiddenFetchExhausted);
       break;
     }
-    if (hiddenRetriesUsed_ >= hiddenRetryPolicy_.sessionRetryBudget) {
+    if (budgetLeft == 0) {
       degraded = true;
       obs::count(obs::Counter::HiddenRetryBudgetExhausted);
       obs::count(obs::Counter::HiddenFetchExhausted);
@@ -391,21 +399,16 @@ HiddenFetchResult Browser::hiddenFetch(
     }
     latencySoFarMs += exchange.latencyMs;
     clock_.advanceMs(static_cast<util::SimTimeMs>(exchange.latencyMs));
-    double backoff =
-        std::min(hiddenRetryPolicy_.initialBackoffMs *
-                     std::pow(hiddenRetryPolicy_.backoffMultiplier,
-                              static_cast<double>(attempt)),
-                 hiddenRetryPolicy_.maxBackoffMs);
     // Jitter is drawn from the session RNG only when a retry actually
     // happens, so fault-free runs consume no extra draws.
-    backoff += backoff * hiddenRetryPolicy_.jitterFraction *
-               (2.0 * rng_.uniform01() - 1.0);
+    const double backoff = net::backoffMs(spec, attempt, rng_);
     clock_.advanceMs(static_cast<util::SimTimeMs>(backoff));
     latencySoFarMs += backoff;
+    --budgetLeft;
     ++hiddenRetriesUsed_;
     obs::count(obs::Counter::HiddenFetchRetries);
   }
-  return completeHiddenFetch(std::move(plan), exchange, attempts,
+  return completeHiddenFetch(std::move(plan), std::move(exchange), attempts,
                              latencySoFarMs, degraded,
                              std::move(failureReason));
 }

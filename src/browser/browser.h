@@ -73,6 +73,11 @@ struct RetryPolicy {
   std::uint64_t sessionRetryBudget = 256;
 };
 
+// The one RetryPolicy → net::RetrySpec mapping, for a session that has
+// already spent `retriesUsed` of its budget. Both retry loops read it.
+net::RetrySpec toRetrySpec(const RetryPolicy& policy,
+                           std::uint64_t retriesUsed);
+
 struct HiddenFetchResult {
   // Reference-mode only: the parsed node tree. Null in streaming mode —
   // callers needing a tree re-parse `html` lazily.
@@ -151,9 +156,10 @@ class Browser {
   // Completion half: parses the final attempt's response into a
   // HiddenFetchResult and advances the clock by that attempt's round trip
   // (earlier attempts and backoffs must already be accounted —
-  // `latencySoFarMs` carries them into the result's total).
+  // `latencySoFarMs` carries them into the result's total). Takes the
+  // exchange by value so the body moves into the result uncopied.
   HiddenFetchResult completeHiddenFetch(HiddenFetchPlan plan,
-                                        const net::Exchange& finalExchange,
+                                        net::Exchange finalExchange,
                                         int attempts, double latencySoFarMs,
                                         bool degraded,
                                         std::string degradedReason);
@@ -187,6 +193,10 @@ class Browser {
   const RetryPolicy& hiddenRetryPolicy() const { return hiddenRetryPolicy_; }
   // Retries spent so far against hiddenRetryPolicy().sessionRetryBudget.
   std::uint64_t hiddenRetriesUsed() const { return hiddenRetriesUsed_; }
+  // Hidden fetches this browser actually dispatched (a fetch retried after
+  // a transport fault counts once) — unlike FORCUM's per-host
+  // hiddenRequests counter, which a warm session imports from the crowd.
+  std::uint64_t hiddenRequestsSent() const { return hiddenRequestsSent_; }
 
   cookies::CookieJar& jar() { return jar_; }
   const cookies::CookieJar& jar() const { return jar_; }
@@ -234,6 +244,7 @@ class Browser {
   std::uint64_t objectRequests_ = 0;
   RetryPolicy hiddenRetryPolicy_;
   std::uint64_t hiddenRetriesUsed_ = 0;
+  std::uint64_t hiddenRequestsSent_ = 0;
 };
 
 }  // namespace cookiepicker::browser

@@ -1,7 +1,7 @@
 #include "dom/snapshot.h"
 
-#include "util/rng.h"
 #include "util/strings.h"
+#include "util/text_hash.h"
 
 namespace cookiepicker::dom {
 
@@ -50,8 +50,9 @@ void TreeSnapshot::finish() {
   childOffset_[n] = static_cast<std::uint32_t>(childIndex_.size());
 
   // The paper's comparison root: the first preorder <body> element, the
-  // snapshot root otherwise (dom::Node::findFirst semantics).
-  const SymbolId bodySymbol = globalSymbolInterner().intern("body");
+  // snapshot root otherwise (dom::Node::findFirst semantics). Interned IDs
+  // never change once assigned, so the lookup runs once per process.
+  static const SymbolId bodySymbol = globalSymbolInterner().intern("body");
   for (std::uint32_t i = 0; i < n; ++i) {
     if (isElement(i) && symbols_[i] == bodySymbol) {
       comparisonRoot_ = i;
@@ -91,12 +92,14 @@ std::uint32_t TreeSnapshot::flatten(const Node& node, std::int32_t level,
     }
   } else if (node.isText()) {
     flags |= kText;
-    const std::string collapsed = util::collapseWhitespace(node.value());
+    std::string scratch;
+    const std::string_view collapsed =
+        util::collapseWhitespaceView(node.value(), scratch);
     if (!collapsed.empty()) {
       flags |= kTextNonEmpty;
       if (util::hasAlphanumeric(collapsed)) flags |= kTextHasAlnum;
       if (util::looksLikeDateOrTime(collapsed)) flags |= kTextDateLike;
-      textHash = util::fnv1a64(collapsed);
+      textHash = util::textHash64(collapsed);
     }
   } else if (node.isComment()) {
     flags |= kComment;

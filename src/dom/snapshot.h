@@ -6,7 +6,7 @@
 // spans, depth, and the per-node predicates RSTM and CVCE would otherwise
 // recompute from strings on every comparison (visibility, script/option
 // tags, ad-container class/id heuristic, text noise filters, a 64-bit
-// FNV-1a hash of each text node's collapsed content). Built exactly once
+// hash of each text node's collapsed content). Built exactly once
 // per document — at parse time, cached on the PageView — and then read by
 // every detection step over that document with integer compares and zero
 // further allocation.
@@ -92,7 +92,10 @@ class TreeSnapshot {
   bool textLooksLikeDateTime(std::uint32_t i) const {
     return flag(i, kTextDateLike);
   }
-  // FNV-1a 64 of the collapsed text (0 for non-text nodes).
+  // util::textHash64 of the collapsed text (0 for non-text nodes and
+  // whitespace-only text). An in-memory identity like the interned symbols:
+  // read only by comparisons that count equal hashes (CVCE features, the
+  // attribution row fingerprint), never serialized or persisted.
   std::uint64_t textHash(std::uint32_t i) const { return textHashes_[i]; }
 
   // --- taint provenance (attribution tier) --------------------------------

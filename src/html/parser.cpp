@@ -22,7 +22,7 @@ bool isWhitespaceOnly(std::string_view text) {
 
 // Should an open element `openTag` be implicitly closed when a start tag
 // `incoming` arrives? This encodes the common HTML optional-end-tag rules.
-bool impliesEndOf(const std::string& incoming, const std::string& openTag) {
+bool impliesEndOf(std::string_view incoming, std::string_view openTag) {
   if (openTag == "p") return isBlockLevelTag(incoming);
   if (openTag == "li") return incoming == "li";
   if (openTag == "dt" || openTag == "dd") {
@@ -52,12 +52,11 @@ class TreeBuilder {
   }
 
   std::unique_ptr<Node> build(std::string_view input) {
+    // One Token refilled per step: its views live until the next call, and
+    // the nodes below copy what they keep.
     Tokenizer tokenizer(input);
-    while (true) {
-      Token token = tokenizer.next();
-      if (token.type == TokenType::EndOfFile) break;
-      processToken(std::move(token));
-    }
+    Token token;
+    while (tokenizer.next(token)) processToken(token);
     // A page with no markup at all still gets the html/head/body skeleton,
     // mirroring what layout engines construct for any document.
     ensureBody();
@@ -65,7 +64,7 @@ class TreeBuilder {
   }
 
  private:
-  void processToken(Token token) {
+  void processToken(const Token& token) {
     switch (token.type) {
       case TokenType::Doctype:
         if (html_ == nullptr) {
@@ -76,10 +75,10 @@ class TreeBuilder {
         insertionPoint().appendChild(Node::makeComment(token.text));
         break;
       case TokenType::Text:
-        processText(std::move(token.text));
+        processText(token.text);
         break;
       case TokenType::StartTag:
-        processStartTag(std::move(token));
+        processStartTag(token);
         break;
       case TokenType::EndTag:
         processEndTag(token.name);
@@ -89,7 +88,7 @@ class TreeBuilder {
     }
   }
 
-  void processText(std::string text) {
+  void processText(std::string_view text) {
     if (text.empty()) return;
     const bool whitespaceOnly = isWhitespaceOnly(text);
     if (whitespaceOnly) {
@@ -106,14 +105,16 @@ class TreeBuilder {
     if (parent.childCount() > 0 &&
         parent.child(parent.childCount() - 1).isText()) {
       Node& last = parent.child(parent.childCount() - 1);
-      last.setValue(last.value() + text);
+      std::string merged = last.value();
+      merged.append(text);
+      last.setValue(merged);
       return;
     }
     parent.appendChild(Node::makeText(text));
   }
 
-  void processStartTag(Token token) {
-    const std::string& tag = token.name;
+  void processStartTag(const Token& token) {
+    const std::string_view tag = token.name;
 
     if (tag == "html") {
       ensureHtml();
@@ -163,7 +164,7 @@ class TreeBuilder {
     }
   }
 
-  void processEndTag(const std::string& tag) {
+  void processEndTag(std::string_view tag) {
     if (tag == "html" || tag == "body" || tag == "head") {
       // Close everything below the structural element.
       if (tag == "head") {
@@ -229,8 +230,8 @@ class TreeBuilder {
   }
 
   static void adoptAttributes(Node& element,
-                              const std::vector<dom::Attribute>& attributes) {
-    for (const dom::Attribute& attribute : attributes) {
+                              const std::vector<TokenAttribute>& attributes) {
+    for (const TokenAttribute& attribute : attributes) {
       element.setAttribute(attribute.name, attribute.value);
     }
   }
@@ -238,8 +239,8 @@ class TreeBuilder {
   // For duplicate <html>/<body> tags: new attributes are added, existing
   // ones keep their first value.
   static void mergeAttributes(Node& element,
-                              const std::vector<dom::Attribute>& attributes) {
-    for (const dom::Attribute& attribute : attributes) {
+                              const std::vector<TokenAttribute>& attributes) {
+    for (const TokenAttribute& attribute : attributes) {
       if (!element.hasAttribute(attribute.name)) {
         element.setAttribute(attribute.name, attribute.value);
       }

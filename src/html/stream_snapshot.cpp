@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "util/rng.h"
 #include "util/strings.h"
+#include "util/text_hash.h"
 
 namespace cookiepicker::html {
 
@@ -18,39 +18,81 @@ bool isWhitespaceOnlyText(std::string_view text) {
   });
 }
 
+// The symbols of the rows every document emits. Interned IDs never change
+// once assigned, so each process interns them once, not once per builder
+// (a fresh builder is made for every session).
+struct CommonSymbols {
+  dom::SymbolId document;
+  dom::SymbolId text;
+  dom::SymbolId comment;
+  dom::SymbolId html;
+  dom::SymbolId head;
+  dom::SymbolId body;
+};
+
+const CommonSymbols& commonSymbols() {
+  static const CommonSymbols symbols = [] {
+    dom::SymbolInterner& interner = dom::globalSymbolInterner();
+    return CommonSymbols{interner.intern("#document"),
+                         interner.intern("#text"),
+                         interner.intern("#comment"),
+                         interner.intern("html"),
+                         interner.intern("head"),
+                         interner.intern("body")};
+  }();
+  return symbols;
+}
+
 }  // namespace
 
 StreamingSnapshotBuilder::StreamingSnapshotBuilder() {
-  dom::SymbolInterner& interner = dom::globalSymbolInterner();
-  documentSymbol_ = interner.intern("#document");
-  textSymbol_ = interner.intern("#text");
-  commentSymbol_ = interner.intern("#comment");
-  htmlSymbol_ = interner.intern("html");
-  headSymbol_ = interner.intern("head");
-  bodySymbol_ = interner.intern("body");
+  const CommonSymbols& symbols = commonSymbols();
+  documentSymbol_ = symbols.document;
+  textSymbol_ = symbols.text;
+  commentSymbol_ = symbols.comment;
+  htmlSymbol_ = symbols.html;
+  headSymbol_ = symbols.head;
+  bodySymbol_ = symbols.body;
 }
 
-dom::SymbolId StreamingSnapshotBuilder::localSymbol(const std::string& name) {
-  // Cheap slot hash: mixing length with the first and last byte separates
-  // the real-world tag vocabulary (div/span/td/tr/li/a/p/...) with almost
-  // no collisions; a wrong guess only costs one global intern.
-  std::size_t slot = name.size() * 131;
-  if (!name.empty()) {
-    slot += static_cast<unsigned char>(name.front()) * 31 +
-            static_cast<unsigned char>(name.back());
+dom::SymbolId StreamingSnapshotBuilder::localSymbol(std::string_view name) {
+  if (name.empty() || name.size() > kMaxCachedName) {
+    return dom::globalSymbolInterner().intern(name);
   }
-  slot &= kSymbolCacheSize - 1;
-  SymbolSlot& entry = symbolCache_[slot];
-  if (entry.used && entry.name == name) return entry.symbol;
+  // The name's bytes, zero-padded into two words.
+  const std::size_t n = name.size();
+  std::uint64_t low = 0;
+  std::uint64_t high = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t byte = static_cast<unsigned char>(name[i]);
+    (i < 8 ? low : high) |= byte << (8 * (i & 7));
+  }
+  // Two probes — the slot and its neighbour — so two hot tags that share
+  // a slot do not evict each other on every use; a wrong guess only costs
+  // one global intern.
+  const std::uint64_t key = low ^ (high * 0xff51afd7ed558ccdULL) ^ n;
+  const std::size_t slot =
+      static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> 56) &
+      (kSymbolCacheSize - 1);
+  SymbolSlot& first = symbolCache_[slot];
+  SymbolSlot& second = symbolCache_[(slot + 1) & (kSymbolCacheSize - 1)];
+  if (first.low == low && first.high == high && first.size == n) {
+    return first.symbol;
+  }
+  if (second.low == low && second.high == high && second.size == n) {
+    return second.symbol;
+  }
   const dom::SymbolId symbol = dom::globalSymbolInterner().intern(name);
-  entry.used = true;
-  entry.name = name;
+  SymbolSlot& entry = first.size == 0 ? first : second;
+  entry.low = low;
+  entry.high = high;
+  entry.size = static_cast<std::uint32_t>(n);
   entry.symbol = symbol;
   return symbol;
 }
 
 const StreamingSnapshotBuilder::TagInfo& StreamingSnapshotBuilder::tagInfo(
-    dom::SymbolId symbol, const std::string& name) {
+    dom::SymbolId symbol, std::string_view name) {
   if (symbol >= infoBySymbol_.size()) {
     infoBySymbol_.resize(static_cast<std::size_t>(symbol) + 1);
   }
@@ -172,8 +214,8 @@ StreamParseResult StreamingSnapshotBuilder::build(
   document_.row =
       emitRow(documentSymbol_, 0, TreeSnapshot::kVisibleStructural);
 
-  Tokenizer tokenizer(htmlText);
-  while (tokenizer.next(token_)) {
+  tokenizer_.reset(htmlText);
+  while (tokenizer_.next(token_)) {
     switch (token_.type) {
       case TokenType::Doctype:
         processDoctype();
@@ -250,7 +292,7 @@ void StreamingSnapshotBuilder::processComment() {
 }
 
 void StreamingSnapshotBuilder::processText() {
-  const std::string& text = token_.text;
+  const std::string_view text = token_.text;
   if (text.empty()) return;
   if (isWhitespaceOnlyText(text)) {
     if (body_.row == -1) return;  // whitespace before body: always dropped
@@ -274,19 +316,27 @@ void StreamingSnapshotBuilder::appendTextTo(std::int64_t& lastTextSlot,
                                             std::int32_t parentLevel) {
   if (lastTextSlot >= 0) {
     // Adjacent text tokens merge into one DOM text node; the row already
-    // exists, only its pending content grows.
-    textRows_[static_cast<std::size_t>(lastTextSlot)].second.append(
-        token_.text);
+    // exists, only its pending content grows — into the row's own buffer,
+    // since the merged bytes are no longer one slice of the input.
+    TextRow& text = textRows_[static_cast<std::size_t>(lastTextSlot)];
+    if (!text.owned) {
+      text.buffer.assign(text.view);
+      text.owned = true;
+    }
+    text.buffer.append(token_.text);
     return;
   }
   const std::uint32_t row =
       emitRow(textSymbol_, parentLevel + 1, TreeSnapshot::kText, tokenTaint());
-  if (textRowCount_ < textRows_.size()) {
-    auto& slot = textRows_[textRowCount_];
-    slot.first = row;
-    slot.second.assign(token_.text);
+  if (textRowCount_ == textRows_.size()) textRows_.emplace_back();
+  TextRow& text = textRows_[textRowCount_];
+  text.row = row;
+  // Decoded text lives in tokenizer scratch until the next token: copy it.
+  text.owned = !token_.textInInput;
+  if (text.owned) {
+    text.buffer.assign(token_.text);
   } else {
-    textRows_.emplace_back(row, token_.text);
+    text.view = token_.text;
   }
   lastTextSlot = static_cast<std::int64_t>(textRowCount_++);
 }
@@ -315,7 +365,7 @@ void StreamingSnapshotBuilder::processStartTag() {
   if (info.scriptish) flags |= TreeSnapshot::kScriptish;
   if (info.isOption) flags |= TreeSnapshot::kOption;
   if (!info.nonVisual) flags |= TreeSnapshot::kVisibleStructural;
-  for (const dom::Attribute& attribute : token_.attributes) {
+  for (const TokenAttribute& attribute : token_.attributes) {
     if ((attribute.name == "class" || attribute.name == "id") &&
         util::hasAdSignalToken(attribute.value)) {
       flags |= TreeSnapshot::kAdContainer;
@@ -376,7 +426,7 @@ void StreamingSnapshotBuilder::recordReferences(const TagInfo& info) {
   if (info.resource == 3) {  // <base>: only the first element counts
     if (sawBase_) return;
     sawBase_ = true;
-    for (const dom::Attribute& attribute : token_.attributes) {
+    for (const TokenAttribute& attribute : token_.attributes) {
       if (attribute.name == "href") {
         if (!attribute.value.empty()) page_->baseHref = attribute.value;
         return;
@@ -385,10 +435,10 @@ void StreamingSnapshotBuilder::recordReferences(const TagInfo& info) {
     return;
   }
   if (info.resource == 1) {  // img/script/iframe/embed
-    for (const dom::Attribute& attribute : token_.attributes) {
+    for (const TokenAttribute& attribute : token_.attributes) {
       if (attribute.name == "src") {
         if (!attribute.value.empty()) {
-          page_->subresourceRefs.push_back(attribute.value);
+          page_->subresourceRefs.emplace_back(attribute.value);
         }
         return;
       }
@@ -396,18 +446,18 @@ void StreamingSnapshotBuilder::recordReferences(const TagInfo& info) {
     return;
   }
   // <link rel~=stylesheet href=...>
-  const std::string* rel = nullptr;
-  const std::string* href = nullptr;
-  for (const dom::Attribute& attribute : token_.attributes) {
+  const TokenAttribute* rel = nullptr;
+  const TokenAttribute* href = nullptr;
+  for (const TokenAttribute& attribute : token_.attributes) {
     if (attribute.name == "rel") {
-      rel = &attribute.value;
+      rel = &attribute;
     } else if (attribute.name == "href") {
-      href = &attribute.value;
+      href = &attribute;
     }
   }
-  if (rel != nullptr && util::containsIgnoreCase(*rel, "stylesheet") &&
-      href != nullptr && !href->empty()) {
-    page_->subresourceRefs.push_back(*href);
+  if (rel != nullptr && util::containsIgnoreCase(rel->value, "stylesheet") &&
+      href != nullptr && !href->value.empty()) {
+    page_->subresourceRefs.emplace_back(href->value);
   }
 }
 
@@ -415,7 +465,7 @@ void StreamingSnapshotBuilder::mergeStructuralAttributes(Frame& frame) {
   // mergeAttributes semantics: across repeated <html>/<head>/<body> tags
   // the first occurrence of each attribute wins. Only class/id feed the
   // ad-container flag, so only they are tracked.
-  for (const dom::Attribute& attribute : token_.attributes) {
+  for (const TokenAttribute& attribute : token_.attributes) {
     if (attribute.name == "class") {
       if (!frame.hasClass) {
         frame.hasClass = true;
@@ -441,18 +491,23 @@ void StreamingSnapshotBuilder::finalizeStructuralFlags(const Frame& frame) {
 
 void StreamingSnapshotBuilder::finalizeTextRows() {
   for (std::size_t slot = 0; slot < textRowCount_; ++slot) {
-    const std::uint32_t row = textRows_[slot].first;
-    util::collapseWhitespaceInto(textRows_[slot].second, collapseScratch_);
-    if (collapseScratch_.empty()) continue;
-    std::uint16_t flags = snap_->flags_[row] | TreeSnapshot::kTextNonEmpty;
-    if (util::hasAlphanumeric(collapseScratch_)) {
+    const TextRow& text = textRows_[slot];
+    // Collapse-clean text (the common case) is hashed and flagged in
+    // place; only messy text is collapsed into the scratch first.
+    const std::string_view collapsed = util::collapseWhitespaceView(
+        text.owned ? std::string_view(text.buffer) : text.view,
+        collapseScratch_);
+    if (collapsed.empty()) continue;
+    std::uint16_t flags =
+        snap_->flags_[text.row] | TreeSnapshot::kTextNonEmpty;
+    if (util::hasAlphanumeric(collapsed)) {
       flags |= TreeSnapshot::kTextHasAlnum;
     }
-    if (util::looksLikeDateOrTime(collapseScratch_)) {
+    if (util::looksLikeDateOrTime(collapsed)) {
       flags |= TreeSnapshot::kTextDateLike;
     }
-    snap_->flags_[row] = flags;
-    snap_->textHashes_[row] = util::fnv1a64(collapseScratch_);
+    snap_->flags_[text.row] = flags;
+    snap_->textHashes_[text.row] = util::textHash64(collapsed);
   }
 }
 
@@ -490,7 +545,9 @@ void StreamingSnapshotBuilder::pushOpen(std::uint32_t row,
                                         const TagInfo& info,
                                         std::int32_t level) {
   if (info.preformatted) ++preformattedDepth_;
-  Open open;
+  // Filled in place: a stack-built copy stalls on the store-to-load
+  // forward of its packed flag bytes.
+  Open& open = open_.emplace_back();
   open.row = row;
   open.symbol = symbol;
   open.level = level;
@@ -498,7 +555,6 @@ void StreamingSnapshotBuilder::pushOpen(std::uint32_t row,
   open.rawTextTag = info.rawTextTag;
   open.headRawText = info.headRawText;
   open.preformatted = info.preformatted;
-  open_.push_back(open);
 }
 
 void StreamingSnapshotBuilder::popOpen() {

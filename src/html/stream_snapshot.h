@@ -13,9 +13,11 @@
 //
 //  * subtree extents — finalized to the current row count when an element
 //    is popped (implicitly, by end tag, or at EOF);
-//  * merged text content — adjacent text tokens append to the row's pending
-//    buffer until a sibling arrives; flags and the FNV-1a-64 hash are
-//    computed from the full merged value in one EOF pass;
+//  * merged text content — a text row is a view of the input while it comes
+//    from one token with no character references, and owns a buffer only
+//    once adjacent tokens merge into it or a reference was decoded; flags
+//    and the text hash are computed from the full merged value in one EOF
+//    pass, directly on the view when the text is already collapse-clean;
 //  * html/head/body ad-container flags — duplicated structural tags merge
 //    attributes first-wins, so class/id are accumulated and flagged at EOF.
 //
@@ -27,6 +29,7 @@
 // DecisionConfig::useSnapshotFastPath as the testing reference.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -63,10 +66,10 @@ class StreamingSnapshotBuilder {
   StreamingSnapshotBuilder();
 
   // Tokenizes `htmlText` and builds snapshot + page info in one pass.
-  // Scratch state (token buffers, open stack, text accumulators, per-tag
+  // Scratch state (tokenizer scratch, open stack, text buffers, per-tag
   // info cache) lives on the builder and is reused across calls, so a
   // retained builder's steady-state allocations are the snapshot arrays
-  // themselves plus interner misses.
+  // themselves, the page info strings, plus interner misses.
   //
   // When `provenance` is non-null, every token-driven row is stamped with
   // the label-set effective at the token's source byte (one interval lookup
@@ -134,16 +137,18 @@ class StreamingSnapshotBuilder {
     std::string idValue;
   };
 
-  const TagInfo& tagInfo(dom::SymbolId symbol, const std::string& name);
+  const TagInfo& tagInfo(dom::SymbolId symbol, std::string_view name);
 
   // Direct-mapped cache in front of the global symbol interner. The global
   // interner is thread-safe (shared_mutex + string hash) and every start and
   // end tag used to pay that cost; a page uses a couple dozen distinct tag
-  // names, so a tiny per-builder cache keyed by a two-byte-and-length hash
-  // turns almost every intern into one index plus one short string compare,
-  // no lock. Collisions simply fall through to the global interner (and
-  // take over the slot), so the returned IDs are always the global ones.
-  dom::SymbolId localSymbol(const std::string& name);
+  // names, so a tiny per-builder cache keyed by a one-multiply word hash
+  // turns almost every intern into an index plus a short compare, no
+  // lock. Collisions simply fall through to the global interner (and take
+  // over a slot), so the returned IDs are always the global ones. Names are
+  // stored inline as two zero-padded words; empty names and names longer
+  // than kMaxCachedName always take the global path.
+  dom::SymbolId localSymbol(std::string_view name);
 
   std::uint32_t rowCount() const;
   std::uint32_t emitRow(dom::SymbolId symbol, std::int32_t level,
@@ -179,21 +184,23 @@ class StreamingSnapshotBuilder {
 
   std::vector<TagInfo> infoBySymbol_;
 
+  static constexpr std::size_t kMaxCachedName = 16;
   struct SymbolSlot {
-    std::string name;
+    std::uint64_t low = 0;   // name bytes 0-7, zero-padded
+    std::uint64_t high = 0;  // name bytes 8-15, zero-padded
+    std::uint32_t size = 0;  // 0: empty slot
     dom::SymbolId symbol = 0;
-    bool used = false;
   };
   static constexpr std::size_t kSymbolCacheSize = 256;
   // Direct-mapped; persists across builds like infoBySymbol_.
-  std::vector<SymbolSlot> symbolCache_ =
-      std::vector<SymbolSlot>(kSymbolCacheSize);
+  std::array<SymbolSlot, kSymbolCacheSize> symbolCache_{};
 
   // --- per-build state, reset by build() ---
   dom::TreeSnapshot* snap_ = nullptr;
   StreamPageInfo* page_ = nullptr;
   const ParseOptions* options_ = nullptr;
   const provenance::ProvenanceMap* prov_ = nullptr;
+  Tokenizer tokenizer_;
   Token token_;
   Frame document_;
   Frame html_;
@@ -202,9 +209,17 @@ class StreamingSnapshotBuilder {
   std::vector<Open> open_;
   int preformattedDepth_ = 0;
   bool sawBase_ = false;
-  // Text rows with their accumulated raw (entity-decoded) content. Slots
-  // [0, textRowCount_) are live this build; strings keep their capacity.
-  std::vector<std::pair<std::uint32_t, std::string>> textRows_;
+  // A text row's accumulated raw (entity-decoded) content: a view of the
+  // build's input until a merge or a decoded reference forces a copy into
+  // `buffer`.
+  struct TextRow {
+    std::uint32_t row = 0;
+    bool owned = false;
+    std::string_view view;  // the content while !owned
+    std::string buffer;     // the content while owned; keeps its capacity
+  };
+  // Slots [0, textRowCount_) are live this build.
+  std::vector<TextRow> textRows_;
   std::size_t textRowCount_ = 0;
   std::string collapseScratch_;
 };

@@ -1,7 +1,5 @@
 #include "html/tokenizer.h"
 
-#include <cctype>
-
 #include "html/entities.h"
 #include "util/scan.h"
 #include "util/strings.h"
@@ -11,63 +9,93 @@ namespace cookiepicker::html {
 namespace {
 
 bool isTagNameStart(char ch) {
-  return std::isalpha(static_cast<unsigned char>(ch)) != 0;
+  // ASCII letters: std::isalpha in the "C" locale, without the call.
+  return static_cast<unsigned char>((ch | 0x20) - 'a') < 26;
 }
 
 bool isWhitespace(char ch) {
   return ch == ' ' || ch == '\t' || ch == '\r' || ch == '\n' || ch == '\f';
 }
 
-void appendLowerAscii(std::string& output, std::string_view text) {
-  // Source markup is almost always lowercase already; bulk-append the
-  // lowercase runs and only transcode the occasional uppercase stretch.
-  std::size_t i = 0;
-  while (i < text.size()) {
-    const std::size_t runStart = i;
-    while (i < text.size() && !(text[i] >= 'A' && text[i] <= 'Z')) ++i;
-    output.append(text.data() + runStart, i - runStart);
-    while (i < text.size() && text[i] >= 'A' && text[i] <= 'Z') {
-      output.push_back(static_cast<char>(text[i] - 'A' + 'a'));
-      ++i;
-    }
+bool hasUpperAscii(std::string_view text) {
+  for (const char ch : text) {
+    if (ch >= 'A' && ch <= 'Z') return true;
   }
+  return false;
+}
+
+void appendLowerAscii(std::string& output, std::string_view text) {
+  for (const char ch : text) {
+    output.push_back(ch >= 'A' && ch <= 'Z' ? static_cast<char>(ch - 'A' + 'a')
+                                            : ch);
+  }
+}
+
+// The literal raw-text end tag for a lowercase tag name, or empty.
+std::string_view rawTextEndTagFor(std::string_view tagName) {
+  if (tagName.size() < 5 || (tagName[0] != 's' && tagName[0] != 't')) {
+    return {};
+  }
+  for (const std::string_view tag : {"script", "style", "textarea", "title"}) {
+    if (tagName == tag) return tag;
+  }
+  return {};
 }
 
 }  // namespace
 
 bool isRawTextTag(std::string_view tagName) {
-  return tagName == "script" || tagName == "style" ||
-         tagName == "textarea" || tagName == "title";
+  return !rawTextEndTagFor(tagName).empty();
 }
 
-std::vector<Token> Tokenizer::tokenizeAll(std::string_view input) {
-  Tokenizer tokenizer(input);
-  std::vector<Token> tokens;
-  while (true) {
-    Token token = tokenizer.next();
-    if (token.type == TokenType::EndOfFile) break;
-    tokens.push_back(std::move(token));
+void Tokenizer::reset(std::string_view input) {
+  input_ = input;
+  position_ = 0;
+  rawTextEndTag_ = {};
+  nextAmpersand_ = util::findByte(input_, 0, '&');
+}
+
+bool Tokenizer::hasAmpersand(std::string_view slice) {
+  if (slice.empty()) return false;
+  const auto start = static_cast<std::size_t>(slice.data() - input_.data());
+  // Probes only move forward, so a cached '&' at or after the last probe
+  // start is still the first one at or after this start.
+  if (nextAmpersand_ < start) {
+    nextAmpersand_ = util::findByte(input_, start, '&');
   }
-  return tokens;
+  return nextAmpersand_ < start + slice.size();
 }
 
-Token Tokenizer::next() {
-  Token token;
-  next(token);
-  return token;
+std::string_view Tokenizer::lowered(std::string_view raw) {
+  if (!hasUpperAscii(raw)) return raw;
+  nameScratch_.clear();
+  appendLowerAscii(nameScratch_, raw);
+  return nameScratch_;
+}
+
+void Tokenizer::setDecodedText(std::string_view raw, Token& out) {
+  if (!hasAmpersand(raw)) {
+    out.text = raw;
+    out.textInInput = true;
+    return;
+  }
+  textScratch_.clear();
+  decodeEntitiesInto(raw, textScratch_);
+  out.text = textScratch_;
 }
 
 bool Tokenizer::next(Token& out) {
   out.type = TokenType::EndOfFile;
-  out.name.clear();
-  out.text.clear();
+  out.name = {};
+  out.text = {};
   out.attributes.clear();
   out.selfClosing = false;
+  out.textInInput = false;
   out.sourceStart = position_;
 
   if (!rawTextEndTag_.empty()) {
-    rawText(rawTextEndTag_, out);
-    rawTextEndTag_.clear();
+    rawText(out);
+    rawTextEndTag_ = {};
     return true;
   }
   if (position_ >= input_.size()) {
@@ -97,7 +125,7 @@ bool Tokenizer::next(Token& out) {
 
 void Tokenizer::textToken(std::size_t start, std::size_t end, Token& out) {
   out.type = TokenType::Text;
-  decodeEntitiesInto(input_.substr(start, end - start), out.text);
+  setDecodedText(input_.substr(start, end - start), out);
 }
 
 void Tokenizer::scanMarkup(Token& out) {
@@ -139,24 +167,26 @@ void Tokenizer::scanMarkup(Token& out) {
 
 void Tokenizer::scanComment(Token& out) {
   out.type = TokenType::Comment;
+  out.textInInput = true;
   const std::size_t closing = input_.find("-->", position_);
   if (closing == std::string_view::npos) {
-    out.text.assign(input_.substr(position_));
+    out.text = input_.substr(position_);
     position_ = input_.size();
   } else {
-    out.text.assign(input_.substr(position_, closing - position_));
+    out.text = input_.substr(position_, closing - position_);
     position_ = closing + 3;
   }
 }
 
 void Tokenizer::scanBogusComment(Token& out) {
   out.type = TokenType::Comment;
+  out.textInInput = true;
   const std::size_t closing = util::findByte(input_, position_, '>');
   if (closing >= input_.size()) {
-    out.text.assign(input_.substr(position_));
+    out.text = input_.substr(position_);
     position_ = input_.size();
   } else {
-    out.text.assign(input_.substr(position_, closing - position_));
+    out.text = input_.substr(position_, closing - position_);
     position_ = closing + 1;
   }
 }
@@ -171,7 +201,7 @@ void Tokenizer::scanDoctype(Token& out) {
          !isWhitespace(input_[position_])) {
     ++position_;
   }
-  appendLowerAscii(out.name, input_.substr(start, position_ - start));
+  out.name = lowered(input_.substr(start, position_ - start));
   const std::size_t closing = util::findByte(input_, position_, '>');
   position_ = closing >= input_.size() ? input_.size() : closing + 1;
 }
@@ -181,63 +211,63 @@ void Tokenizer::scanTag(bool isEndTag, Token& token) {
 
   const std::size_t nameStart = position_;
   position_ = util::TagNameScanner::find(input_, position_);
-  appendLowerAscii(token.name,
-                   input_.substr(nameStart, position_ - nameStart));
+  token.name = lowered(input_.substr(nameStart, position_ - nameStart));
 
   if (!isEndTag) {
     scanAttributes(token);
   }
 
-  // Skip to the closing '>' (end tags may carry junk we ignore). A '/'
-  // immediately before it marks the tag self-closing, matching the scalar
-  // skip loop this scan replaced: the first '>' is at `closing`, so the only
-  // place "/>" can occur before it is closing - 1.
-  const std::size_t closing = util::findByte(input_, position_, '>');
+  // Skip to the closing '>' (end tags may carry junk we ignore) — usually
+  // the very next byte. A '/' immediately before it marks the tag
+  // self-closing, matching the scalar skip loop this scan replaced: the
+  // first '>' is at `closing`, so the only place "/>" can occur before it is
+  // closing - 1.
+  const std::size_t closing =
+      position_ < input_.size() && input_[position_] == '>'
+          ? position_
+          : util::findByte(input_, position_, '>');
   if (!isEndTag && closing < input_.size() && closing > position_ &&
       input_[closing - 1] == '/') {
     token.selfClosing = true;
   }
   position_ = closing >= input_.size() ? input_.size() : closing + 1;
 
-  if (token.type == TokenType::StartTag && !token.selfClosing &&
-      isRawTextTag(token.name)) {
-    rawTextEndTag_ = token.name;
+  if (token.type == TokenType::StartTag && !token.selfClosing) {
+    rawTextEndTag_ = rawTextEndTagFor(token.name);
   }
 }
 
 void Tokenizer::scanAttributes(Token& token) {
+  fixups_.clear();
   while (position_ < input_.size()) {
     while (position_ < input_.size() && isWhitespace(input_[position_])) {
       ++position_;
     }
-    if (position_ >= input_.size()) return;
+    if (position_ >= input_.size()) break;
     const char ch = input_[position_];
-    if (ch == '>') return;
+    if (ch == '>') break;
     if (ch == '/') {
       if (position_ + 1 < input_.size() && input_[position_ + 1] == '>') {
         token.selfClosing = true;
         ++position_;  // leave '>' for scanTag
-        return;
+        break;
       }
       ++position_;  // stray '/': skip
       continue;
     }
 
-    // Attribute name — built in place in the token's vector so the hot
-    // path never moves strings; a bad or duplicate attribute just pops the
-    // slot again.
+    // Attribute name and value as raw input slices; lowering and decoding
+    // happen once the tag is complete.
     const std::size_t nameStart = position_;
     position_ = util::AttrNameScanner::find(input_, position_);
-    token.attributes.emplace_back();
-    dom::Attribute& attribute = token.attributes.back();
-    appendLowerAscii(attribute.name,
-                     input_.substr(nameStart, position_ - nameStart));
-    if (attribute.name.empty()) {
-      token.attributes.pop_back();
+    const std::string_view name =
+        input_.substr(nameStart, position_ - nameStart);
+    if (name.empty()) {
       ++position_;  // defensive: avoid infinite loop on weird input
       continue;
     }
 
+    std::string_view value;
     while (position_ < input_.size() && isWhitespace(input_[position_])) {
       ++position_;
     }
@@ -252,41 +282,75 @@ void Tokenizer::scanAttributes(Token& token) {
         ++position_;
         const std::size_t valueStart = position_;
         position_ = util::findByte(input_, position_, quote);
-        decodeEntitiesInto(
-            input_.substr(valueStart, position_ - valueStart),
-            attribute.value);
+        value = input_.substr(valueStart, position_ - valueStart);
         if (position_ < input_.size()) ++position_;  // closing quote
       } else {
         const std::size_t valueStart = position_;
         position_ = util::UnquotedValueScanner::find(input_, position_);
-        decodeEntitiesInto(
-            input_.substr(valueStart, position_ - valueStart),
-            attribute.value);
+        value = input_.substr(valueStart, position_ - valueStart);
       }
     }
-    // First occurrence wins, as in browsers.
-    const std::size_t earlier = token.attributes.size() - 1;
-    for (std::size_t k = 0; k < earlier; ++k) {
-      if (token.attributes[k].name == attribute.name) {
-        token.attributes.pop_back();
+    // First occurrence wins, as in browsers. Lowering is ASCII-only, so a
+    // case-insensitive compare of the raw names equals a compare of the
+    // lowered ones.
+    bool duplicate = false;
+    for (const TokenAttribute& earlier : token.attributes) {
+      if (earlier.name.size() == name.size() &&
+          util::equalsIgnoreCase(earlier.name, name)) {
+        duplicate = true;
         break;
       }
+    }
+    if (duplicate) continue;
+    const bool lowerName = hasUpperAscii(name);
+    const bool decodeValue = hasAmpersand(value);
+    if (lowerName || decodeValue) {
+      fixups_.push_back({static_cast<std::uint32_t>(token.attributes.size()),
+                         lowerName, decodeValue});
+    }
+    token.attributes.push_back({name, value});
+  }
+  if (fixups_.empty()) return;
+
+  // Write every transformed byte first, then take the views: the scratch
+  // may reallocate while it grows, never after.
+  attributeScratch_.clear();
+  for (AttributeFixup& fixup : fixups_) {
+    const TokenAttribute& attribute = token.attributes[fixup.index];
+    if (fixup.lowerName) {
+      fixup.nameAt = attributeScratch_.size();
+      appendLowerAscii(attributeScratch_, attribute.name);
+    }
+    if (fixup.decodeValue) {
+      fixup.valueAt = attributeScratch_.size();
+      decodeEntitiesInto(attribute.value, attributeScratch_);
+      fixup.valueSize = attributeScratch_.size() - fixup.valueAt;
+    }
+  }
+  const char* scratch = attributeScratch_.data();
+  for (const AttributeFixup& fixup : fixups_) {
+    TokenAttribute& attribute = token.attributes[fixup.index];
+    if (fixup.lowerName) {
+      attribute.name = {scratch + fixup.nameAt, attribute.name.size()};
+    }
+    if (fixup.decodeValue) {
+      attribute.value = {scratch + fixup.valueAt, fixup.valueSize};
     }
   }
 }
 
-void Tokenizer::rawText(std::string_view tagName, Token& token) {
+void Tokenizer::rawText(Token& token) {
   // Consume everything up to "</tagName" (case-insensitive).
-  closingPrefix_.assign("</");
-  closingPrefix_.append(tagName);
+  const std::string_view tagName = rawTextEndTag_;
+  const std::size_t needle = 2 + tagName.size();
   std::size_t search = position_;
   std::size_t contentEnd = input_.size();
   while (search < input_.size()) {
     const std::size_t lt = util::findByte(input_, search, '<');
     if (lt >= input_.size()) break;
-    if (lt + closingPrefix_.size() <= input_.size() &&
-        util::equalsIgnoreCase(input_.substr(lt, closingPrefix_.size()),
-                               closingPrefix_)) {
+    if (lt + needle <= input_.size() && input_[lt + 1] == '/' &&
+        util::equalsIgnoreCase(input_.substr(lt + 2, tagName.size()),
+                               tagName)) {
       contentEnd = lt;
       break;
     }
@@ -298,9 +362,10 @@ void Tokenizer::rawText(std::string_view tagName, Token& token) {
       input_.substr(position_, contentEnd - position_);
   // textarea/title content gets entity decoding; script/style does not.
   if (tagName == "textarea" || tagName == "title") {
-    decodeEntitiesInto(content, token.text);
+    setDecodedText(content, token);
   } else {
-    token.text.assign(content);
+    token.text = content;
+    token.textInInput = true;
   }
   position_ = contentEnd;
 }

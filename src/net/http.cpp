@@ -91,4 +91,48 @@ std::string toWireFormat(const HttpResponse& response) {
   return wire;
 }
 
+namespace {
+
+// Length of std::to_string(value).
+std::size_t decimalLength(long long value) {
+  std::size_t length = value < 0 ? 2 : 1;
+  unsigned long long magnitude =
+      value < 0 ? 0ULL - static_cast<unsigned long long>(value)
+                : static_cast<unsigned long long>(value);
+  while (magnitude >= 10) {
+    magnitude /= 10;
+    ++length;
+  }
+  return length;
+}
+
+// Sum of "name: value\r\n" over the header lines.
+std::size_t headerLinesSize(const HeaderMap& headers) {
+  std::size_t size = 0;
+  for (const HeaderMap::Entry& entry : headers.entries()) {
+    size += entry.name.size() + entry.value.size() + 4;
+  }
+  return size;
+}
+
+}  // namespace
+
+std::size_t wireSize(const HttpRequest& request) {
+  const Url& url = request.url;
+  const std::size_t target =
+      url.path().size() + (url.query().empty() ? 0 : 1 + url.query().size());
+  // "METHOD target HTTP/1.1\r\n" "Host: host\r\n" headers "\r\n" body
+  return request.method.size() + 1 + target + 11 + 6 + url.host().size() +
+         2 + headerLinesSize(request.headers) + 2 + request.body.size();
+}
+
+std::size_t wireSize(const HttpResponse& response) {
+  // "HTTP/1.1 status text\r\n" headers
+  // "Content-Length: n\r\n" "\r\n" body
+  return 9 + decimalLength(response.status) + 1 +
+         response.statusText.size() + 2 + headerLinesSize(response.headers) +
+         16 + decimalLength(static_cast<long long>(response.body.size())) +
+         2 + 2 + response.body.size();
+}
+
 }  // namespace cookiepicker::net

@@ -87,9 +87,13 @@ struct HttpResponse {
   static HttpResponse redirect(const std::string& location, int status = 302);
 };
 
-// Serialize to wire-format text; used by tests and by overhead accounting
-// (header bytes count toward transfer size).
+// Serialize to wire-format text (header bytes count toward transfer size).
 std::string toWireFormat(const HttpRequest& request);
 std::string toWireFormat(const HttpResponse& response);
+
+// toWireFormat(x).size(), computed from the parts without building the
+// string — what the transports' byte accounting charges per exchange.
+std::size_t wireSize(const HttpRequest& request);
+std::size_t wireSize(const HttpResponse& response);
 
 }  // namespace cookiepicker::net

@@ -131,7 +131,7 @@ void Network::recordInjectedFault(Exchange& exchange, faults::Action action) {
 
 Exchange Network::dispatch(const HttpRequest& request) {
   Exchange exchange;
-  exchange.requestBytes = toWireFormat(request).size();
+  exchange.requestBytes = wireSize(request);
 
   HostEntry* entry = nullptr;
   {
@@ -150,6 +150,7 @@ Exchange Network::dispatch(const HttpRequest& request) {
                     util::fnv1a64(request.url.path()));
     exchange.latencyMs =
         LatencyProfile::fast().sampleMs(rng, exchange.response.body.size());
+    exchange.responseBytes = wireSize(exchange.response);
   } else {
     std::shared_ptr<const faults::FaultPlan> plan;
     std::uint64_t planGeneration = 0;
@@ -199,6 +200,7 @@ Exchange Network::dispatch(const HttpRequest& request) {
         default:
           break;
       }
+      exchange.responseBytes = wireSize(exchange.response);
     } else {
       exchange.response = entry->handler->handle(request);
       double extraLatencyMs = 0.0;
@@ -238,13 +240,14 @@ Exchange Network::dispatch(const HttpRequest& request) {
             break;
         }
       }
-      exchange.responseBytes = toWireFormat(exchange.response).size();
+      // Sized once: latency sampling and the byte bill read the same
+      // number.
+      exchange.responseBytes = wireSize(exchange.response);
       exchange.latencyMs =
           entry->profile.sampleMs(entry->rng, exchange.responseBytes) +
           exchange.response.serverProcessingMs + extraLatencyMs;
     }
   }
-  exchange.responseBytes = toWireFormat(exchange.response).size();
 
   totalRequests_.fetch_add(1, std::memory_order_relaxed);
   totalBytes_.fetch_add(exchange.requestBytes + exchange.responseBytes,

@@ -1,5 +1,7 @@
 #include "net/transport.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 namespace cookiepicker::net {
@@ -12,6 +14,15 @@ bool bodyTruncated(const HttpResponse& response) {
       std::strtoull(contentLength->c_str(), &end, 10);
   if (end == contentLength->c_str()) return false;
   return declared > response.body.size();
+}
+
+double backoffMs(const RetrySpec& spec, int attempt, util::Pcg32& rng) {
+  double backoff = std::min(
+      spec.initialBackoffMs *
+          std::pow(spec.backoffMultiplier, static_cast<double>(attempt)),
+      spec.maxBackoffMs);
+  backoff += backoff * spec.jitterFraction * (2.0 * rng.uniform01() - 1.0);
+  return backoff;
 }
 
 std::string fetchFailureReason(const HttpResponse& response) {

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "net/http.h"
+#include "util/rng.h"
 
 namespace cookiepicker::net {
 
@@ -45,9 +46,11 @@ struct Exchange {
   const char* injectedFault = nullptr;
 };
 
-// Mirror of browser::RetryPolicy handed down to transports that run the
-// retry loop themselves. `retryBudget` is the *remaining* session budget —
-// the transport may spend at most that many attempts beyond each first try.
+// One hidden fetch's retry settings, as both retry loops read them: the
+// browser's virtual-clock loop and the transports that run the loop
+// themselves. browser::toRetrySpec derives it from the session's
+// RetryPolicy. `retryBudget` is the *remaining* session budget — at most
+// that many attempts beyond each first try.
 struct RetrySpec {
   int maxAttempts = 1;
   double initialBackoffMs = 400.0;
@@ -67,6 +70,12 @@ struct FetchOutcome {
   bool budgetExhausted = false;  // a retry was forgone: retryBudget was empty
   std::string failureReason;  // empty when the final attempt is usable
 };
+
+// The wait before retry number `attempt + 1` (attempt 0 is the first try):
+// initialBackoffMs * backoffMultiplier^attempt, capped at maxBackoffMs, then
+// scaled by (1 ± jitterFraction) with exactly one rng.uniform01() draw.
+// The one backoff formula; both retry loops call it.
+double backoffMs(const RetrySpec& spec, int attempt, util::Pcg32& rng);
 
 // Why a fetched response cannot be used as-is, or empty if it can: status 0
 // names the transport failure via statusText, 5xx reports "http-NNN", and a

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 
 #include "obs/recorder.h"
@@ -66,7 +65,7 @@ void AsyncHttpClient::fetchOnLoop(net::HttpRequest request,
     exchange.requestBytes = serializeRequest(request).size();
     exchange.response = net::HttpResponse::notFound(request.url.toString());
     exchange.response.status = 404;
-    exchange.responseBytes = net::toWireFormat(exchange.response).size();
+    exchange.responseBytes = net::wireSize(exchange.response);
     {
       std::lock_guard<std::mutex> lock(statsMutex_);
       ++stats_.dispatches;
@@ -302,7 +301,7 @@ void AsyncHttpClient::completeFront(Conn* conn, ParsedResponse parsed) {
   exchange.latencyMs = EventLoop::monotonicMs() - flight.sentAtMs;
   exchange.requestBytes = flight.requestBytes;
   exchange.response = toHttpResponse(std::move(parsed));
-  exchange.responseBytes = net::toWireFormat(exchange.response).size();
+  exchange.responseBytes = net::wireSize(exchange.response);
   {
     obs::MetricsRegistry& global = obs::MetricsRegistry::global();
     if (global.enabled()) {
@@ -431,13 +430,7 @@ void AsyncHttpClient::runRetryAttempt(std::shared_ptr<RetryState> state) {
       state->done(std::move(outcome));
       return;
     }
-    double backoff = std::min(
-        state->spec.initialBackoffMs *
-            std::pow(state->spec.backoffMultiplier,
-                     static_cast<double>(state->attempt)),
-        state->spec.maxBackoffMs);
-    backoff += backoff * state->spec.jitterFraction *
-               (2.0 * rng_.uniform01() - 1.0);
+    const double backoff = net::backoffMs(state->spec, state->attempt, rng_);
     outcome.totalLatencyMs += backoff;
     ++outcome.retriesUsed;
     --state->budgetLeft;

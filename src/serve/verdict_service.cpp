@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "browser/browser.h"
@@ -14,18 +16,62 @@ namespace cookiepicker::serve {
 
 namespace {
 
-// Minimal query-string lookup ("a=1&b=2").
-std::string queryParam(const std::string& query, const std::string& key) {
+int hexValue(char ch) {
+  if (ch >= '0' && ch <= '9') return ch - '0';
+  if (ch >= 'a' && ch <= 'f') return ch - 'a' + 10;
+  if (ch >= 'A' && ch <= 'F') return ch - 'A' + 10;
+  return -1;
+}
+
+// Percent-decodes one query component ('+' stays literal). Fails on a
+// malformed escape ("%zz", a truncated "%4") and on any decoded control
+// byte, so "%00" cannot smuggle a NUL into a host name.
+std::optional<std::string> percentDecode(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    char ch = text[i];
+    if (ch == '%') {
+      if (i + 2 >= text.size()) return std::nullopt;
+      const int high = hexValue(text[i + 1]);
+      const int low = hexValue(text[i + 2]);
+      if (high < 0 || low < 0) return std::nullopt;
+      ch = static_cast<char>(high * 16 + low);
+      i += 2;
+    }
+    const auto byte = static_cast<unsigned char>(ch);
+    if (byte < 0x20 || byte == 0x7f) return std::nullopt;
+    out.push_back(ch);
+  }
+  return out;
+}
+
+using QueryParams = std::vector<std::pair<std::string, std::string>>;
+
+// Splits "a=1&b=2" into decoded (key, value) pairs; pairs without '=' are
+// ignored. nullopt when any key or value fails to decode.
+std::optional<QueryParams> parseQuery(std::string_view query) {
+  QueryParams params;
   std::size_t pos = 0;
   while (pos <= query.size()) {
     std::size_t amp = query.find('&', pos);
-    if (amp == std::string::npos) amp = query.size();
-    const std::string_view pair(query.data() + pos, amp - pos);
-    const std::size_t eq = pair.find('=');
-    if (eq != std::string_view::npos && pair.substr(0, eq) == key) {
-      return std::string(pair.substr(eq + 1));
-    }
+    if (amp == std::string_view::npos) amp = query.size();
+    const std::string_view pair = query.substr(pos, amp - pos);
     pos = amp + 1;
+    const std::size_t eq = pair.find('=');
+    if (eq == std::string_view::npos) continue;
+    auto key = percentDecode(pair.substr(0, eq));
+    auto value = percentDecode(pair.substr(eq + 1));
+    if (!key || !value) return std::nullopt;
+    params.emplace_back(std::move(*key), std::move(*value));
+  }
+  return params;
+}
+
+// The first value for `key`, or empty.
+std::string queryParam(const QueryParams& params, std::string_view key) {
+  for (const auto& [name, value] : params) {
+    if (name == key) return value;
   }
   return std::string();
 }
@@ -155,6 +201,10 @@ std::string VerdictService::runVerdict(const std::string& host, int views) {
   json += "\"markedUseful\":" + std::to_string(report.markedUseful) + ",";
   json += "\"pageViews\":" + std::to_string(report.pageViews) + ",";
   json += "\"hiddenRequests\":" + std::to_string(report.hiddenRequests) + ",";
+  // What this session put on the wire; hiddenRequests above is FORCUM's
+  // per-host counter, which a warm session imports from the crowd.
+  json += "\"hiddenRequestsSent\":" +
+          std::to_string(browser.hiddenRequestsSent()) + ",";
   json += std::string("\"trainingActive\":") +
           (report.trainingActive ? "true" : "false") + ",";
   json += std::string("\"enforced\":") + (report.enforced ? "true" : "false") +
@@ -184,12 +234,16 @@ net::HttpResponse VerdictService::handle(const net::HttpRequest& request) {
         200, "{\"sessionsRun\":" + std::to_string(sessionsRun()) + "}");
   }
   if (path == "/verdict") {
-    const std::string host =
-        util::toLowerAscii(queryParam(request.url.query(), "host"));
+    const std::optional<QueryParams> params =
+        parseQuery(request.url.query());
+    if (!params) {
+      return jsonResponse(400, "{\"error\":\"malformed query string\"}");
+    }
+    const std::string host = util::toLowerAscii(queryParam(*params, "host"));
     if (host.empty()) {
       return jsonResponse(400, "{\"error\":\"missing host parameter\"}");
     }
-    const std::string viewsText = queryParam(request.url.query(), "views");
+    const std::string viewsText = queryParam(*params, "views");
     int views = config_.defaultViews;
     if (!viewsText.empty()) {
       const char* end = viewsText.data() + viewsText.size();

@@ -13,7 +13,11 @@
 //   GET /healthz               → 200 "ok"
 //   GET /verdict?host=H[&views=N] → verdict JSON: session report plus the
 //       sorted useful/blocked persistent-cookie names; 400 unless N is a
-//       decimal integer in [1, kMaxVerdictViews]. Deterministic
+//       decimal integer in [1, kMaxVerdictViews]. Keys and values are
+//       percent-decoded; a malformed escape or a decoded control byte is a
+//       400. `hiddenRequestsSent` counts the hidden requests this session
+//       dispatched; `hiddenRequests` is FORCUM's per-host counter, which a
+//       warm session imports from the crowd. Deterministic
 //       fields only — no timing — so two runs (or sim vs. socket) can be
 //       compared byte-for-byte; the soak harness does exactly that.
 //   GET /stats                 → service counters JSON

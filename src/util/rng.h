@@ -76,8 +76,10 @@ class Pcg32 {
   std::uint64_t inc_ = 0;
 };
 
-// FNV-1a 64-bit hash; used to derive stable per-name RNG substreams and to
-// fingerprint serialized pages in tests.
+// FNV-1a 64-bit hash; used to derive stable per-name RNG substreams, shard
+// keys and WAL checksums, and to fingerprint serialized pages in tests —
+// everything persisted, keyed or pinned. Snapshot text hashes use the
+// in-memory util::textHash64 (text_hash.h) instead.
 std::uint64_t fnv1a64(std::string_view text);
 
 }  // namespace cookiepicker::util

@@ -154,7 +154,11 @@ bool hasAlphanumeric(std::string_view text) {
   while (i < text.size()) {
     const auto byte = static_cast<unsigned char>(text[i]);
     if (byte < 0x80) {
-      if (std::isalnum(byte) != 0) return true;
+      // std::isalnum in the "C" locale, without the call.
+      if (static_cast<unsigned char>(byte - '0') < 10 ||
+          static_cast<unsigned char>((byte | 0x20) - 'a') < 26) {
+        return true;
+      }
       ++i;
       continue;
     }
@@ -295,11 +299,13 @@ bool isAlreadyCollapsed(std::string_view text) {
   bool prevSpace = false;
   while (i + 8 <= n) {
     const std::uint64_t word = swar::loadWord(data + i);
-    const std::uint64_t hardWs = swar::matchByte(word, '\t') |
-                                 swar::matchByte(word, '\n') |
-                                 swar::matchByte(word, '\r') |
-                                 swar::matchByte(word, '\f') |
-                                 swar::matchByte(word, '\v');
+    // Hard whitespace is exactly the byte range 0x09..0x0D: one range test
+    // ("has a byte between 0x08 and 0x0E", nonzero iff some lane is)
+    // instead of five equality tests.
+    const std::uint64_t low7 = word & (swar::kOnes * 0x7F);
+    const std::uint64_t hardWs = ((swar::kOnes * (0x7F + 0x0E)) - low7) &
+                                 ~word & (low7 + swar::kOnes * (0x7F - 0x08)) &
+                                 swar::kHighBits;
     if (hardWs != 0) return false;
     const std::uint64_t space = swar::matchByte(word, ' ');
     // (space >> 8) aligns lane k+1 onto lane k, so the AND marks every
@@ -324,39 +330,38 @@ bool isAlreadyCollapsed(std::string_view text) {
 
 }  // namespace
 
-void collapseWhitespaceInto(std::string_view text, std::string& out) {
+std::string_view collapseWhitespaceView(std::string_view text,
+                                        std::string& scratch) {
   // This is the hottest text-path function (once per text node in both
   // snapshot producers), and the dominant input shape is indentation around
   // already-collapsed words ("\n      Welcome to the shop\n    "). Trim the
-  // edges, verify the middle is collapse-clean with a SWAR scan, and bulk
-  // copy it; only genuinely messy text takes the run-splitting loop.
-  // Semantics are unchanged from the classic scalar loop: words joined by
-  // single spaces, leading/trailing whitespace dropped.
-  out.clear();
+  // edges and verify the middle is collapse-clean with a SWAR scan; such
+  // text is returned as a slice, and only genuinely messy text takes the
+  // run-splitting copy. Semantics are unchanged from the classic scalar
+  // loop: words joined by single spaces, leading/trailing whitespace dropped.
   std::size_t begin = 0;
   std::size_t end = text.size();
   while (begin < end && isAsciiSpace(text[begin])) ++begin;
   while (end > begin && isAsciiSpace(text[end - 1])) --end;
   const std::string_view mid = text.substr(begin, end - begin);
-  if (mid.empty()) return;
-  if (isAlreadyCollapsed(mid)) {
-    out.append(mid.data(), mid.size());
-    return;
-  }
+  if (mid.empty() || isAlreadyCollapsed(mid)) return mid;
+  scratch.clear();
   const std::size_t n = mid.size();
   std::size_t i = 0;
   while (i < n) {
     const std::size_t wordEnd = AsciiSpaceScanner::find(mid, i);
-    if (!out.empty()) out.push_back(' ');
-    out.append(mid.data() + i, wordEnd - i);
+    if (!scratch.empty()) scratch.push_back(' ');
+    scratch.append(mid.data() + i, wordEnd - i);
     i = skipAsciiSpace(mid, wordEnd);
   }
+  return scratch;
 }
 
 std::string collapseWhitespace(std::string_view text) {
-  std::string result;
-  collapseWhitespaceInto(text, result);
-  return result;
+  std::string scratch;
+  const std::string_view collapsed = collapseWhitespaceView(text, scratch);
+  if (collapsed.data() == scratch.data()) return scratch;
+  return std::string(collapsed);
 }
 
 }  // namespace cookiepicker::util

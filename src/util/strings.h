@@ -47,9 +47,12 @@ std::string replaceAll(std::string_view text, std::string_view from,
 // canonicalize text-node content before comparison.
 std::string collapseWhitespace(std::string_view text);
 
-// Same, writing into a caller-owned buffer (cleared first) so hot loops can
-// reuse one scratch string instead of allocating per call.
-void collapseWhitespaceInto(std::string_view text, std::string& out);
+// Same, without copying when it can: returns a slice of `text` itself when
+// the trimmed text is already collapse-clean (the common case), else the
+// collapsed copy written into `scratch` (cleared first). The result is valid
+// while both `text` and `scratch` are.
+std::string_view collapseWhitespaceView(std::string_view text,
+                                        std::string& scratch);
 
 // Appends every part to `out` after a single reserve — the building block
 // for serializers that would otherwise chain `a + b + c` temporaries.

@@ -10,6 +10,28 @@ namespace {
 
 using testsupport::SimWorld;
 
+// One RetryPolicy → RetrySpec mapping: every knob carries over and the
+// budget is what the session has left.
+TEST(Browser, RetrySpecCarriesPolicyAndRemainingBudget) {
+  RetryPolicy policy;
+  policy.maxAttempts = 4;
+  policy.initialBackoffMs = 100.0;
+  policy.backoffMultiplier = 3.0;
+  policy.maxBackoffMs = 900.0;
+  policy.jitterFraction = 0.5;
+  policy.sessionRetryBudget = 10;
+  const net::RetrySpec fresh = toRetrySpec(policy, 0);
+  EXPECT_EQ(fresh.maxAttempts, 4);
+  EXPECT_EQ(fresh.initialBackoffMs, 100.0);
+  EXPECT_EQ(fresh.backoffMultiplier, 3.0);
+  EXPECT_EQ(fresh.maxBackoffMs, 900.0);
+  EXPECT_EQ(fresh.jitterFraction, 0.5);
+  EXPECT_EQ(fresh.retryBudget, 10u);
+  EXPECT_EQ(toRetrySpec(policy, 7).retryBudget, 3u);
+  EXPECT_EQ(toRetrySpec(policy, 10).retryBudget, 0u);
+  EXPECT_EQ(toRetrySpec(policy, 12).retryBudget, 0u);
+}
+
 TEST(Browser, VisitBuildsStreamingSnapshot) {
   SimWorld world;
   const auto spec = world.addGenericSite("shop.example");

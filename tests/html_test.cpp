@@ -3,7 +3,7 @@
 #include "dom/serialize.h"
 #include "html/entities.h"
 #include "html/parser.h"
-#include "html/tokenizer.h"
+#include "token_support.h"
 
 namespace cookiepicker::html {
 namespace {
@@ -71,7 +71,7 @@ TEST(Entities, CaseSensitiveNames) {
 // --- tokenizer ---------------------------------------------------------------
 
 TEST(Tokenizer, SimpleTagsAndText) {
-  const auto tokens = Tokenizer::tokenizeAll("<p>hello</p>");
+  const auto tokens = tokenizeAll("<p>hello</p>");
   ASSERT_EQ(tokens.size(), 3u);
   EXPECT_EQ(tokens[0].type, TokenType::StartTag);
   EXPECT_EQ(tokens[0].name, "p");
@@ -81,13 +81,13 @@ TEST(Tokenizer, SimpleTagsAndText) {
 }
 
 TEST(Tokenizer, TagNamesLowercased) {
-  const auto tokens = Tokenizer::tokenizeAll("<DiV></DIV>");
+  const auto tokens = tokenizeAll("<DiV></DIV>");
   EXPECT_EQ(tokens[0].name, "div");
   EXPECT_EQ(tokens[1].name, "div");
 }
 
 TEST(Tokenizer, AttributesAllQuoteStyles) {
-  const auto tokens = Tokenizer::tokenizeAll(
+  const auto tokens = tokenizeAll(
       "<a href=\"/x\" title='hi there' data-k=v disabled>");
   ASSERT_EQ(tokens.size(), 1u);
   const auto& attributes = tokens[0].attributes;
@@ -101,51 +101,51 @@ TEST(Tokenizer, AttributesAllQuoteStyles) {
 }
 
 TEST(Tokenizer, DuplicateAttributesFirstWins) {
-  const auto tokens = Tokenizer::tokenizeAll("<a id=one id=two>");
+  const auto tokens = tokenizeAll("<a id=one id=two>");
   ASSERT_EQ(tokens[0].attributes.size(), 1u);
   EXPECT_EQ(tokens[0].attributes[0].value, "one");
 }
 
 TEST(Tokenizer, AttributeValuesEntityDecoded) {
-  const auto tokens = Tokenizer::tokenizeAll("<a title=\"a &amp; b\">");
+  const auto tokens = tokenizeAll("<a title=\"a &amp; b\">");
   EXPECT_EQ(tokens[0].attributes[0].value, "a & b");
 }
 
 TEST(Tokenizer, SelfClosingFlag) {
-  const auto tokens = Tokenizer::tokenizeAll("<br/><img src=x />");
+  const auto tokens = tokenizeAll("<br/><img src=x />");
   EXPECT_TRUE(tokens[0].selfClosing);
   EXPECT_TRUE(tokens[1].selfClosing);
 }
 
 TEST(Tokenizer, Comments) {
-  const auto tokens = Tokenizer::tokenizeAll("<!-- hello -->");
+  const auto tokens = tokenizeAll("<!-- hello -->");
   ASSERT_EQ(tokens.size(), 1u);
   EXPECT_EQ(tokens[0].type, TokenType::Comment);
   EXPECT_EQ(tokens[0].text, " hello ");
 }
 
 TEST(Tokenizer, UnterminatedCommentConsumesRest) {
-  const auto tokens = Tokenizer::tokenizeAll("<!-- oops <p>x</p>");
+  const auto tokens = tokenizeAll("<!-- oops <p>x</p>");
   ASSERT_EQ(tokens.size(), 1u);
   EXPECT_EQ(tokens[0].type, TokenType::Comment);
 }
 
 TEST(Tokenizer, Doctype) {
-  const auto tokens = Tokenizer::tokenizeAll("<!DOCTYPE HTML>");
+  const auto tokens = tokenizeAll("<!DOCTYPE HTML>");
   ASSERT_EQ(tokens.size(), 1u);
   EXPECT_EQ(tokens[0].type, TokenType::Doctype);
   EXPECT_EQ(tokens[0].name, "html");
 }
 
 TEST(Tokenizer, BogusCommentFromProcessingInstruction) {
-  const auto tokens = Tokenizer::tokenizeAll("<?xml version=\"1.0\"?><p>");
+  const auto tokens = tokenizeAll("<?xml version=\"1.0\"?><p>");
   EXPECT_EQ(tokens[0].type, TokenType::Comment);
   EXPECT_EQ(tokens[1].type, TokenType::StartTag);
 }
 
 TEST(Tokenizer, RawTextScriptContent) {
   const auto tokens =
-      Tokenizer::tokenizeAll("<script>if (a<b) x=\"</p>\";</script>");
+      tokenizeAll("<script>if (a<b) x=\"</p>\";</script>");
   ASSERT_EQ(tokens.size(), 3u);
   EXPECT_EQ(tokens[1].type, TokenType::Text);
   EXPECT_EQ(tokens[1].text, "if (a<b) x=\"</p>\";");
@@ -154,25 +154,25 @@ TEST(Tokenizer, RawTextScriptContent) {
 }
 
 TEST(Tokenizer, RawTextTitleIsEntityDecoded) {
-  const auto tokens = Tokenizer::tokenizeAll("<title>A &amp; B</title>");
+  const auto tokens = tokenizeAll("<title>A &amp; B</title>");
   EXPECT_EQ(tokens[1].text, "A & B");
 }
 
 TEST(Tokenizer, RawTextUnterminatedConsumesRest) {
-  const auto tokens = Tokenizer::tokenizeAll("<style>p{} <div>");
+  const auto tokens = tokenizeAll("<style>p{} <div>");
   ASSERT_EQ(tokens.size(), 2u);
   EXPECT_EQ(tokens[1].text, "p{} <div>");
 }
 
 TEST(Tokenizer, LoneAngleBracketIsText) {
-  const auto tokens = Tokenizer::tokenizeAll("a < b");
+  const auto tokens = tokenizeAll("a < b");
   ASSERT_EQ(tokens.size(), 2u);  // "a " then "< b"
   EXPECT_EQ(tokens[0].text, "a ");
   EXPECT_EQ(tokens[1].text, "< b");
 }
 
 TEST(Tokenizer, TextEntityDecoded) {
-  const auto tokens = Tokenizer::tokenizeAll("<p>1 &lt; 2</p>");
+  const auto tokens = tokenizeAll("<p>1 &lt; 2</p>");
   EXPECT_EQ(tokens[1].text, "1 < 2");
 }
 

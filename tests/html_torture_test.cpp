@@ -13,7 +13,9 @@
 #include "html/entities.h"
 #include "html/parser.h"
 #include "html/stream_snapshot.h"
-#include "html/tokenizer.h"
+#include "token_support.h"
+#include "util/strings.h"
+#include "util/text_hash.h"
 
 namespace cookiepicker::html {
 namespace {
@@ -286,6 +288,177 @@ void expectPipelinesAgree(const HostileDoc& doc) {
   EXPECT_EQ(reference.comparisonRootIndex(), streaming.comparisonRootIndex());
   EXPECT_EQ(referencePage.baseHref, streamed.page.baseHref);
   EXPECT_EQ(referencePage.subresourceRefs, streamed.page.subresourceRefs);
+}
+
+// --- view tokenizer special cases --------------------------------------------
+//
+// Tokens are views into the input, or into tokenizer scratch that the next
+// token overwrites. These inputs put each scratch path (lowered names,
+// decoded text, decoded attribute values) next to each merge path, and
+// check the bytes against literal expectations as well as the two
+// producers against each other.
+
+// The collapsed content of every streaming text row, rebuilt from the
+// reference tree, must hash to what the streaming builder stored.
+std::vector<std::string> textRows(const std::string& html) {
+  std::vector<std::string> texts;
+  const auto document = parseHtml(html);
+  dom::preorder(*document, [&](const dom::Node& node, std::size_t) {
+    if (node.isText()) texts.push_back(util::collapseWhitespace(node.value()));
+    return true;
+  });
+  return texts;
+}
+
+void expectSingleText(const std::string& html, const std::string& expected) {
+  SCOPED_TRACE(html);
+  expectPipelinesAgree({html, html});
+  EXPECT_EQ(textRows(html), std::vector<std::string>{expected});
+  const StreamParseResult streamed = buildSnapshotStreaming(html);
+  const dom::TreeSnapshot& snapshot = *streamed.snapshot;
+  int textRowsSeen = 0;
+  for (std::uint32_t i = 0; i < snapshot.nodeCount(); ++i) {
+    if (!snapshot.isText(i)) continue;
+    ++textRowsSeen;
+    EXPECT_EQ(snapshot.textHash(i), util::textHash64(expected));
+  }
+  EXPECT_EQ(textRowsSeen, 1);
+}
+
+TEST(Torture, ViewTokensLowerUppercaseNames) {
+  const std::string html =
+      "<DIV ID=\"Main\" CLASS=\"Top-AD\"><IMG SRC=\"/Up.png\" ALT=x>"
+      "</DIV>";
+  const auto tokens = tokenizeAll(html);
+  ASSERT_EQ(tokens.size(), 3u);
+  EXPECT_EQ(tokens[0].name, "div");
+  ASSERT_EQ(tokens[0].attributes.size(), 2u);
+  EXPECT_EQ(tokens[0].attributes[0].name, "id");
+  EXPECT_EQ(tokens[0].attributes[0].value, "Main");
+  EXPECT_EQ(tokens[0].attributes[1].name, "class");
+  EXPECT_EQ(tokens[0].attributes[1].value, "Top-AD");
+  EXPECT_EQ(tokens[1].name, "img");
+  EXPECT_EQ(tokens[1].attributes[0].name, "src");
+  EXPECT_EQ(tokens[2].type, TokenType::EndTag);
+  EXPECT_EQ(tokens[2].name, "div");
+  expectPipelinesAgree({"uppercase", html});
+  const StreamParseResult streamed = buildSnapshotStreaming(html);
+  EXPECT_EQ(streamed.page.subresourceRefs, std::vector<std::string>{"/Up.png"});
+  bool sawAdDiv = false;
+  for (std::uint32_t i = 0; i < streamed.snapshot->nodeCount(); ++i) {
+    sawAdDiv = sawAdDiv || streamed.snapshot->isAdContainer(i);
+  }
+  EXPECT_TRUE(sawAdDiv);
+  // Case-folded duplicates: the first occurrence wins, whatever its case.
+  const auto duplicate = tokenizeAll("<a ID=one id=two Id=three>");
+  ASSERT_EQ(duplicate[0].attributes.size(), 1u);
+  EXPECT_EQ(duplicate[0].attributes[0].name, "id");
+  EXPECT_EQ(duplicate[0].attributes[0].value, "one");
+}
+
+TEST(Torture, ViewTokensUppercaseRawTextClosers) {
+  const auto script =
+      tokenizeAll("<SCRIPT>var s = \"</p>\";</SCRIPT><p>after</p>");
+  ASSERT_EQ(script.size(), 6u);
+  EXPECT_EQ(script[0].name, "script");
+  EXPECT_EQ(script[1].type, TokenType::Text);
+  EXPECT_EQ(script[1].text, "var s = \"</p>\";");
+  EXPECT_TRUE(script[1].textInInput);
+  EXPECT_EQ(script[2].type, TokenType::EndTag);
+  EXPECT_EQ(script[2].name, "script");
+  EXPECT_EQ(script[4].text, "after");
+  const auto title = tokenizeAll("<Title>A &amp; B</TITLE><Textarea>x &lt; "
+                                 "y</TextArea><STYLE>a&amp;b</sTyLe>");
+  ASSERT_EQ(title.size(), 9u);
+  EXPECT_EQ(title[1].text, "A & B");
+  EXPECT_FALSE(title[1].textInInput);
+  EXPECT_EQ(title[4].text, "x < y");
+  EXPECT_EQ(title[7].text, "a&amp;b");  // style content is never decoded
+  for (const char* html :
+       {"<SCRIPT>var s = \"</p>\";</SCRIPT><p>after</p>",
+        "<Title>A &amp; B</TITLE><p>x", "<TEXTAREA>a</textarea>b",
+        "<script>x</SCRIPT", "<STYLE>p{}</STYLE ><p>y"}) {
+    expectPipelinesAgree({html, html});
+  }
+}
+
+TEST(Torture, ViewTokensMergeDecodedTextAcrossBoundaries) {
+  // Decoded, stray end tag, decoded: both halves lived in the same scratch.
+  expectSingleText("<p>a &amp; b</x>c &lt; d</p>", "a & bc < d");
+  // A lone '<' splits the run into two decoded tokens.
+  expectSingleText("<p>x &amp; y < z &gt; w</p>", "x & y < z > w");
+  // Source view first, decoded second, and the reverse.
+  expectSingleText("<p>plain</i> then &amp; more</p>", "plain then & more");
+  expectSingleText("<p>&lt;b&gt;</b> tail</p>", "<b> tail");
+  // Three tokens, whitespace collapsed across the joins.
+  expectSingleText("<p>  one &amp;</q>  two </r> &#51;  </p>", "one & two 3");
+}
+
+TEST(Torture, ViewTokensDecodeAttributeValues) {
+  // Several decoded values and a lowered name in one tag: every view must
+  // point at its own bytes once the tag's scratch stops growing.
+  const auto tokens = tokenizeAll(
+      "<img SRC=\"/x&amp;1\" Class=\"b&amp;c\" alt=\"&lt;\" Data-Q='&gt;' "
+      "src=\"dup\">");
+  ASSERT_EQ(tokens.size(), 1u);
+  const auto& attributes = tokens[0].attributes;
+  ASSERT_EQ(attributes.size(), 4u);
+  EXPECT_EQ(attributes[0].name, "src");
+  EXPECT_EQ(attributes[0].value, "/x&1");
+  EXPECT_EQ(attributes[1].name, "class");
+  EXPECT_EQ(attributes[1].value, "b&c");
+  EXPECT_EQ(attributes[2].value, "<");
+  EXPECT_EQ(attributes[3].name, "data-q");
+  EXPECT_EQ(attributes[3].value, ">");
+
+  const std::string page =
+      "<head><base href=\"/b&#47;\"><link rel=\"style&#115;heet\" "
+      "href=\"/s.css?a&amp;b\"></head><body><div class=\"ad&#32;slot\">x"
+      "</div><img src=\"/a.png?x=1&amp;y=2\"><script "
+      "src=\"/j.js?&lt;\"></script></body>";
+  expectPipelinesAgree({"decoded-attributes", page});
+  const StreamParseResult streamed = buildSnapshotStreaming(page);
+  EXPECT_EQ(streamed.page.baseHref, "/b/");
+  EXPECT_EQ(streamed.page.subresourceRefs,
+            (std::vector<std::string>{"/s.css?a&b", "/a.png?x=1&y=2",
+                                      "/j.js?<"}));
+  // "ad&#32;slot" only reads as an ad marker once decoded to "ad slot".
+  bool sawAdDiv = false;
+  for (std::uint32_t i = 0; i < streamed.snapshot->nodeCount(); ++i) {
+    sawAdDiv = sawAdDiv || streamed.snapshot->isAdContainer(i);
+  }
+  EXPECT_TRUE(sawAdDiv);
+}
+
+TEST(Torture, ViewTokensCommentsAndDoctypesAtEndOfInput) {
+  const struct {
+    const char* html;
+    TokenType last;
+    const char* lastText;
+  } cases[] = {
+      {"<p>x</p><!-- tail", TokenType::Comment, " tail"},
+      {"<p>x</p><!--", TokenType::Comment, ""},
+      {"<p>x<!---->", TokenType::Comment, ""},
+      {"<p>x</p><?pi", TokenType::Comment, "pi"},
+      {"<p>x</p><!x", TokenType::Comment, "x"},
+      {"<p>x</p><!DOCTYP", TokenType::Comment, "DOCTYP"},
+      {"<p>x</p><!DOCTYPE", TokenType::Doctype, ""},
+      {"<p>x</p><!DOCTYPE ", TokenType::Doctype, ""},
+      {"<p>x</p><!doctype HTML", TokenType::Doctype, ""},
+      {"<!DOCTYPE HTML", TokenType::Doctype, ""},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.html);
+    const auto tokens = tokenizeAll(c.html);
+    ASSERT_FALSE(tokens.empty());
+    EXPECT_EQ(tokens.back().type, c.last);
+    if (c.last == TokenType::Comment) {
+      EXPECT_EQ(tokens.back().text, c.lastText);
+    } else {
+      EXPECT_TRUE(tokens.back().name.empty() || tokens.back().name == "html");
+    }
+    expectPipelinesAgree({c.html, c.html});
+  }
 }
 
 TEST(Torture, HostileCorpusBothPipelinesAgree) {

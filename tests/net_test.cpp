@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/cookie_parse.h"
 #include "net/http.h"
 #include "net/network.h"
+#include "net/transport.h"
 #include "net/url.h"
+#include "util/rng.h"
 
 namespace cookiepicker::net {
 namespace {
@@ -154,6 +158,68 @@ TEST(WireFormat, RequestContainsMethodPathHost) {
   EXPECT_NE(wire.find("GET /x?q=1 HTTP/1.1"), std::string::npos);
   EXPECT_NE(wire.find("Host: a.com"), std::string::npos);
   EXPECT_NE(wire.find("Cookie: a=1"), std::string::npos);
+}
+
+// wireSize is the byte bill both transports charge; it must equal the
+// serialized length for every shape of message, without serializing.
+TEST(WireFormat, WireSizeEqualsSerializedLength) {
+  util::Pcg32 rng(7, 3);
+  const char* targets[] = {"http://a.com/", "http://a.com/x?q=1",
+                           "http://a.com/p/q?", "http://a.com?only=query",
+                           "http://Host.Example:8080/a%20b?x=1&y=%00"};
+  const char* statusTexts[] = {"OK", "", "connection dropped",
+                               "Service Unavailable"};
+  const int statuses[] = {200, 0, 302, 404, 503, 1000, -1, 99999};
+  for (int trial = 0; trial < 400; ++trial) {
+    HttpRequest request;
+    request.method = trial % 7 == 0 ? "POST" : "GET";
+    request.url = *Url::parse(targets[rng.uniform(0, 4)]);
+    for (std::uint32_t h = rng.uniform(0, 3); h > 0; --h) {
+      request.headers.add("X-H" + std::to_string(h),
+                          std::string(rng.uniform(0, 40), 'v'));
+    }
+    if (rng.uniform(0, 1) == 0) request.headers.set("Cookie", "a=1; b=2");
+    const std::uint32_t bodySize =
+        rng.uniform(0, 3) == 0 ? rng.uniform(0, 500) : 0;
+    request.body = std::string(bodySize, 'b');
+    EXPECT_EQ(wireSize(request), toWireFormat(request).size()) << trial;
+
+    HttpResponse response;
+    response.status = statuses[rng.uniform(0, 7)];
+    response.statusText = statusTexts[rng.uniform(0, 3)];
+    for (std::uint32_t c = rng.uniform(0, 4); c > 0; --c) {
+      response.headers.add("Set-Cookie", "c" + std::to_string(c) +
+                                             "=v; Max-Age=3600; Path=/");
+    }
+    if (rng.uniform(0, 1) == 0) {
+      response.headers.set("Content-Type", "text/html");
+    }
+    // Empty, single-digit, and every decimal length boundary up to 10^5.
+    const std::size_t sizes[] = {0, 9, 10, 99, 100, 999, 1000, 99999, 100000};
+    response.body = std::string(sizes[rng.uniform(0, 8)], 'x');
+    EXPECT_EQ(wireSize(response), toWireFormat(response).size()) << trial;
+  }
+}
+
+// The one backoff formula: exponential, capped, jittered by exactly one
+// uniform draw — so both retry loops consume the session RNG identically.
+TEST(Retry, BackoffDrawsExactlyOneUniform) {
+  RetrySpec spec;
+  spec.initialBackoffMs = 400.0;
+  spec.backoffMultiplier = 2.0;
+  spec.maxBackoffMs = 6400.0;
+  spec.jitterFraction = 0.25;
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    util::Pcg32 drawn(9, 1);
+    util::Pcg32 mirror(9, 1);
+    const double backoff = backoffMs(spec, attempt, drawn);
+    const double base = std::min(400.0 * (1 << attempt), 6400.0);
+    const double u = mirror.uniform01();
+    EXPECT_DOUBLE_EQ(backoff, base + base * 0.25 * (2.0 * u - 1.0)) << attempt;
+    EXPECT_GE(backoff, base * 0.75);
+    EXPECT_LE(backoff, base * 1.25);
+    EXPECT_EQ(drawn.next(), mirror.next()) << attempt;
+  }
 }
 
 // --- Set-Cookie parsing ------------------------------------------------------

@@ -16,6 +16,7 @@
 // COOKIEPICKER_CHAOS=1, which doubles the session length.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "faults/fault_plan.h"
+#include "knowledge/knowledge_base.h"
 #include "net/network.h"
 #include "net/url.h"
 #include "serve/async_client.h"
@@ -173,6 +175,144 @@ TEST(ServeSoak, VerdictViewsParameterIsStrictAndCapped) {
   EXPECT_EQ(ask("").body, direct);
   EXPECT_EQ(ask("&views=" + std::to_string(serve::kMaxVerdictViews)).status,
             200);
+}
+
+// A verdict's integer field, or -1 when absent.
+long long verdictField(const std::string& json, const std::string& field) {
+  const std::string key = "\"" + field + "\":";
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(json.substr(at + key.size()));
+}
+
+// hiddenRequestsSent is this session's wire bill; hiddenRequests is FORCUM's
+// per-host counter, which a warm session imports from the crowd.
+TEST(ServeSoak, VerdictReportsHiddenRequestsThisSessionSent) {
+  const std::vector<server::SiteSpec> roster = server::table2Roster();
+
+  // Clean cold verdicts: every hidden fetch sent is one FORCUM counted.
+  std::map<std::string, std::string> cold;
+  {
+    util::SimClock siteClock;
+    net::Network network(kSeed);
+    serve::VerdictService service(network, {});
+    for (const auto& spec : roster) {
+      network.registerHost(spec.domain, server::buildSite(spec, siteClock),
+                           spec.latencyProfile());
+      service.addHost(spec.domain, spec.pageCount);
+    }
+    for (const auto& spec : roster) {
+      cold[spec.domain] = service.runVerdict(spec.domain, 12);
+      const std::string& verdict = cold[spec.domain];
+      EXPECT_GT(verdictField(verdict, "hiddenRequests"), 0) << verdict;
+      EXPECT_EQ(verdictField(verdict, "hiddenRequestsSent"),
+                verdictField(verdict, "hiddenRequests"))
+          << verdict;
+    }
+  }
+
+  // Warm verdicts: the crowd's counter comes back, nothing goes out.
+  {
+    util::SimClock siteClock;
+    net::Network network(kSeed);
+    knowledge::KnowledgeBase base;
+    serve::VerdictServiceConfig config;
+    config.knowledge = &base;
+    serve::VerdictService service(network, config);
+    for (const auto& spec : roster) {
+      network.registerHost(spec.domain, server::buildSite(spec, siteClock),
+                           spec.latencyProfile());
+      service.addHost(spec.domain, spec.pageCount);
+    }
+    for (const auto& spec : roster) service.runVerdict(spec.domain, 12);
+    for (const auto& spec : roster) {
+      const std::string verdict = service.runVerdict(spec.domain, 12);
+      EXPECT_NE(verdict.find("\"knowledge\":\"warm\""), std::string::npos)
+          << verdict;
+      EXPECT_GT(verdictField(verdict, "hiddenRequests"), 0) << verdict;
+      EXPECT_EQ(verdictField(verdict, "hiddenRequestsSent"), 0) << verdict;
+    }
+  }
+
+  // Socket transport: the same sessions report the same sent counts.
+  util::SimClock siteClock;
+  serve::OriginTierConfig tierConfig;
+  tierConfig.seed = kSeed;
+  tierConfig.threads = 2;
+  serve::OriginTier tier(tierConfig);
+  for (const auto& spec : roster) {
+    tier.addHost(spec.domain, server::buildSite(spec, siteClock));
+  }
+  tier.start();
+  {
+    serve::LoopThread loopThread;
+    serve::AsyncClientConfig clientConfig;
+    clientConfig.resolve = tier.resolver();
+    serve::AsyncHttpClient client(loopThread.loop(), clientConfig);
+    serve::SocketTransport transport(client);
+    serve::VerdictService service(transport, {});
+    for (const auto& spec : roster) {
+      service.addHost(spec.domain, spec.pageCount);
+    }
+    for (const auto& spec : roster) {
+      const std::string verdict = service.runVerdict(spec.domain, 12);
+      EXPECT_EQ(verdictField(verdict, "hiddenRequestsSent"),
+                verdictField(cold[spec.domain], "hiddenRequestsSent"))
+          << spec.label;
+    }
+  }
+  tier.stop();
+}
+
+// Query keys and values are percent-decoded; malformed escapes and decoded
+// control bytes are a 400 before any session runs.
+TEST(ServeSoak, VerdictQueryIsPercentDecoded) {
+  const std::vector<server::SiteSpec> roster = server::table2Roster();
+  const std::string host = roster.front().domain;
+  const auto ask = [&](const std::string& query) {
+    util::SimClock siteClock;
+    net::Network network(kSeed);
+    serve::VerdictService service(network, {});
+    for (const auto& spec : roster) {
+      network.registerHost(spec.domain, server::buildSite(spec, siteClock),
+                           spec.latencyProfile());
+      service.addHost(spec.domain, spec.pageCount);
+    }
+    net::HttpRequest request;
+    request.url =
+        net::Url::parse("http://verdicts.local/verdict?" + query).value();
+    const net::HttpResponse response = service.handle(request);
+    if (response.status != 200) {
+      EXPECT_EQ(service.sessionsRun(), 0u) << query;
+    }
+    return response;
+  };
+  const net::HttpResponse plain = ask("host=" + host + "&views=12");
+  ASSERT_EQ(plain.status, 200);
+
+  // An encoded host (every byte escaped, mixed-case hex) and encoded keys.
+  std::string encodedHost;
+  for (std::size_t i = 0; i < host.size(); ++i) {
+    char escape[4];
+    std::snprintf(escape, sizeof(escape), i % 2 == 0 ? "%%%02X" : "%%%02x",
+                  static_cast<unsigned char>(host[i]));
+    encodedHost += escape;
+  }
+  EXPECT_EQ(ask("host=" + encodedHost + "&views=12").body, plain.body);
+  EXPECT_EQ(ask("%68ost=" + host + "&vi%65ws=%312").body, plain.body);
+  EXPECT_EQ(ask("host=" + host + "&views=1%32").body, plain.body);
+
+  const std::vector<std::string> malformed = {
+      "host=%zz",         "host=" + host + "%",
+      "host=" + host + "%4", "host=" + host + "%00",
+      "host=" + host + "&views=12%0a", "ho%st=" + host,
+      "host=" + host + "&junk=%g1",    "host=%7f"};
+  for (const std::string& bad : malformed) {
+    const net::HttpResponse response = ask(bad);
+    EXPECT_EQ(response.status, 400) << bad;
+    EXPECT_EQ(response.body, "{\"error\":\"malformed query string\"}")
+        << bad;
+  }
 }
 
 TEST(ServeSoak, VerdictEndpointServesOverTheWire) {

@@ -18,7 +18,9 @@
 
 #include <cstdlib>
 #include <memory>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/decision.h"
@@ -27,9 +29,11 @@
 #include "dom/snapshot.h"
 #include "html/parser.h"
 #include "html/stream_snapshot.h"
+#include "pin_pages.h"
 #include "test_support.h"
 #include "util/rng.h"
 #include "util/strings.h"
+#include "util/text_hash.h"
 
 namespace cookiepicker {
 namespace {
@@ -417,6 +421,69 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotDifferential,
                                            144, 233, 377, 610, 987, 1597,
                                            2584, 4181, 6765, 10946, 17711,
                                            28657, 46368, 75025, 121393));
+
+// --- text hash collision smoke test ------------------------------------------
+//
+// Snapshot text hashes are an in-memory identity: CVCE and the attribution
+// fingerprint treat equal hashes as equal text. Over every container page
+// the pins fetch plus the fuzz corpus above, distinct collapsed texts
+// must hash apart, and equal texts must hash equal wherever their bytes sit.
+
+class TextCollector : public pin::PageVisitor {
+ public:
+  void response(const net::HttpResponse& response) override {
+    page(response.body);
+  }
+  void page(std::string_view html) override {
+    const auto document = html::parseHtml(html);
+    dom::preorder(*document, [&](const dom::Node& node, std::size_t) {
+      if (node.isText()) {
+        std::string collapsed = util::collapseWhitespace(node.value());
+        if (!collapsed.empty()) texts.insert(std::move(collapsed));
+      }
+      return true;
+    });
+  }
+
+  std::set<std::string> texts;
+};
+
+TEST(TextHash, DistinctCorpusTextsHashApart) {
+  TextCollector collector;
+  for (const pin::Scenario& scenario : pin::scenarios()) {
+    scenario.run(collector);
+  }
+  const std::size_t rosterTexts = collector.texts.size();
+  for (const std::uint64_t seed : {1, 2, 3, 5, 8, 13, 21, 34}) {
+    util::Pcg32 rng(seed, 31);
+    for (int trial = 0; trial < 40; ++trial) {
+      std::string htmlText = randomDocument(rng);
+      for (int round = 0; round < 6; ++round) {
+        collector.page(htmlText);
+        mutate(rng, htmlText);
+      }
+    }
+  }
+  EXPECT_GT(rosterTexts, 1000u);
+  EXPECT_GT(collector.texts.size(), rosterTexts);
+
+  std::unordered_map<std::uint64_t, const std::string*> byHash;
+  std::string shifted;
+  for (const std::string& text : collector.texts) {
+    const std::uint64_t hash = util::textHash64(text);
+    const auto [it, inserted] = byHash.emplace(hash, &text);
+    EXPECT_TRUE(inserted) << "\"" << text << "\" collides with \""
+                          << *it->second << "\"";
+    // Same bytes at every alignment: same hash.
+    for (std::size_t offset = 1; offset < 8; ++offset) {
+      shifted.assign(offset, '#');
+      shifted += text;
+      ASSERT_EQ(util::textHash64(std::string_view(shifted).substr(offset)),
+                hash)
+          << text;
+    }
+  }
+}
 
 // --- attribution-off differential pin ----------------------------------------
 //

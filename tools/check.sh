@@ -17,12 +17,13 @@
 # config re-runs the CrashRecovery property suite in the ASan tree with
 # COOKIEPICKER_CHAOS=1, which scales the crash-point fuzzing from 24 to 200
 # seeded kill/recover cycles. The fuzz-soak configs re-run the streaming
-# snapshot differential fuzz suite in the TSan and ASan trees with
-# COOKIEPICKER_FUZZ=8, which scales the generated-document corpus eightfold
-# (every document byte-compared across the streaming and reference
-# pipelines, with mutation rounds). The serve-soak configs re-run the
-# service-tier suites (event loop, real-socket e2e parity, and the
-# flapping-origin verdict soak) in the TSan and ASan trees with
+# snapshot differential fuzz suite and the HTML torture suite in the TSan
+# and ASan trees with COOKIEPICKER_FUZZ=8, which scales the
+# generated-document corpus eightfold (every document byte-compared across
+# the streaming and reference pipelines, with mutation rounds). The
+# serve-soak configs re-run the service-tier suites (event loop,
+# real-socket e2e parity, and the flapping-origin verdict soak) in the
+# TSan and ASan trees with
 # COOKIEPICKER_CHAOS=1, which doubles the soak's training views — epoll
 # loops, connection pools, and the origin shards all run real threads, so
 # TSan watches the cross-thread handoffs and ASan the parser buffers.
@@ -47,8 +48,9 @@
 #   tools/check.sh chaos-thread    # scaled-up chaos soak in the TSan tree
 #   tools/check.sh chaos-address   # scaled-up chaos soak in the ASan tree
 #   tools/check.sh crash-soak      # 200-seed crash-recovery fuzz, ASan tree
-#   tools/check.sh fuzz-thread     # scaled snapshot diff fuzz, TSan tree
-#   tools/check.sh fuzz-address    # scaled snapshot diff fuzz, ASan tree
+#   tools/check.sh fuzz-thread     # scaled snapshot diff fuzz + HTML
+#                                  # torture, TSan tree
+#   tools/check.sh fuzz-address    # the same, ASan tree
 #   tools/check.sh serve-thread    # scaled service-tier soak, TSan tree
 #   tools/check.sh serve-address   # scaled service-tier soak, ASan tree
 #   tools/check.sh knowledge-thread   # scaled knowledge soak, TSan tree
@@ -121,21 +123,23 @@ for config in "${CONFIGS[@]}"; do
       # The snapshot differential fuzz suite scaled eightfold in the TSan
       # tree: thousands of seeded/mutated documents through the streaming
       # and reference snapshot producers, byte-compared, while TSan watches
-      # the shared interners.
+      # the shared interners. The HTML torture suite rides along, so the
+      # tokenizer's view scratch sees the hostile corpus too.
       sanitize="thread"
       fuzz_env="8"
-      test_filter="SnapshotDifferential"
-      soak_target="snapshot_differential_test"
+      test_filter="SnapshotDifferential|Torture\.|BrokenFragment"
+      soak_target="snapshot_differential_test html_torture_test"
       build_dir="$ROOT/build-check-thread"
       ;;
     fuzz-address)
       # The same scaled fuzz under ASan/UBSan: the builder's index patching
       # (subtree extents, merged text rows, structural flags) must never
-      # write out of bounds on hostile shapes.
+      # write out of bounds on hostile shapes, and no token view may outlive
+      # the tokenizer scratch it points into (HTML torture suite included).
       sanitize="address"
       fuzz_env="8"
-      test_filter="SnapshotDifferential"
-      soak_target="snapshot_differential_test"
+      test_filter="SnapshotDifferential|Torture\.|BrokenFragment"
+      soak_target="snapshot_differential_test html_torture_test"
       build_dir="$ROOT/build-check-address"
       ;;
     serve-thread)
