@@ -99,8 +99,9 @@ double percentile(const std::vector<double>& sorted, double p) {
 
 // One closed-loop round: `total` hidden fetches with kConcurrency in
 // flight, each completion immediately launching the next. Completions run
-// on the client's loop thread, so the bookkeeping below needs no locks.
-RoundResult runRound(serve::AsyncHttpClient& client,
+// on the client's loop thread, and so does the first window, so the
+// bookkeeping below needs no locks.
+RoundResult runRound(serve::EventLoop& loop, serve::AsyncHttpClient& client,
                      const std::vector<std::string>& hosts, int total) {
   struct State {
     serve::AsyncHttpClient* client = nullptr;
@@ -136,7 +137,9 @@ RoundResult runRound(serve::AsyncHttpClient& client,
 
   const auto start = std::chrono::steady_clock::now();
   const int initial = std::min(kConcurrency, total);
-  for (int i = 0; i < initial; ++i) (*issue)();
+  loop.post([issue, initial]() {
+    for (int i = 0; i < initial; ++i) (*issue)();
+  });
   state->done.get_future().wait();
   const auto stop = std::chrono::steady_clock::now();
 
@@ -184,8 +187,8 @@ TierRun runTier(
     clientConfig.seed = kSeed;
     serve::AsyncHttpClient client(loopThread.loop(), clientConfig);
 
-    runRound(client, hosts, kWarmupRequests);
-    run.round = runRound(client, hosts, requests);
+    runRound(loopThread.loop(), client, hosts, kWarmupRequests);
+    run.round = runRound(loopThread.loop(), client, hosts, requests);
     run.stats = client.stats();
   }
   tier.stop();
