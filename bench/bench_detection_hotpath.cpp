@@ -4,7 +4,9 @@
 // allocated per step (via global operator new/delete accounting), checks
 // in-loop that both paths return identical decisions, and writes the
 // results as JSON (argv[1], default BENCH_hotpath.json) so the numbers are
-// versioned alongside the code that produced them.
+// versioned alongside the code that produced them. The same pairs time the
+// audit evidence of a cookie-caused step: snapshot evidence against the
+// oracle that parses both copies and diffs node trees.
 //
 // Build Release: the speedup gate in tools/bench.sh reads the JSON this
 // emits and EXPERIMENTS.md quotes it.
@@ -20,6 +22,7 @@
 
 #include "browser/browser.h"
 #include "core/decision.h"
+#include "core/explain.h"
 #include "dom/interner.h"
 #include "dom/snapshot.h"
 #include "html/parser.h"
@@ -187,7 +190,22 @@ struct RosterReport {
   // Parse-over-stream time, median of paired per-round samples —
   // tools/bench.sh gates this at >= MIN_STREAM_RATIO (default 3.0).
   double streamRatio = 0.0;
+  // Audit evidence per pair: the oracle (parse both copies, node-tree
+  // evidence) and the snapshot evidence FORCUM runs.
+  LoopResult evidenceOracle;
+  LoopResult evidence;
+  // Oracle-over-snapshot time, median of paired per-round samples —
+  // tools/bench.sh gates this at >= MIN_EVIDENCE_SPEEDUP (default 2).
+  double evidenceSpeedup = 0.0;
 };
+
+bool sameEvidence(const core::DifferenceExplanation& a,
+                  const core::DifferenceExplanation& b) {
+  return a.structureOnlyInRegular == b.structureOnlyInRegular &&
+         a.structureOnlyInHidden == b.structureOnlyInHidden &&
+         a.textOnlyInRegular == b.textOnlyInRegular &&
+         a.textOnlyInHidden == b.textOnlyInHidden;
+}
 
 RosterReport benchRoster(const std::string& name,
                          const std::vector<server::SiteSpec>& roster) {
@@ -462,6 +480,89 @@ RosterReport benchRoster(const std::string& name,
   report.stream.bytesPerStep = static_cast<double>(streamBytes) / streamSteps;
   report.stream.allocsPerStep = static_cast<double>(streamCalls) / streamSteps;
   report.streamRatio = medianOf(streamRatios);
+
+  // Audit evidence, timed in paired rounds like the ratios above. Every
+  // round keeps both paths' lists and compares them pair by pair, so the
+  // speedup is never measured against different output.
+  const core::ExplainOptions explainOptions;
+  core::EvidenceScratch evidenceScratch;
+  std::vector<core::DifferenceExplanation> oracleLists(pairs.size());
+  std::vector<core::DifferenceExplanation> snapshotLists(pairs.size());
+  const auto runOracle = [&] {
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const auto regular = html::parseHtml(pairs[i].regularHtml);
+      const auto hidden = html::parseHtml(pairs[i].hiddenHtml);
+      oracleLists[i] = {};
+      core::collectDifferenceEvidence(*regular, *hidden, explainOptions,
+                                      oracleLists[i]);
+    }
+  };
+  const auto runEvidence = [&] {
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      snapshotLists[i] = {};
+      core::collectDifferenceEvidence(
+          {*pairs[i].regularSnapshot, pairs[i].regularHtml},
+          {*pairs[i].hiddenSnapshot, pairs[i].hiddenHtml}, explainOptions,
+          evidenceScratch, snapshotLists[i]);
+    }
+  };
+  runEvidence();  // grows the evidence scratch to working-set size
+  constexpr int kEvidenceRounds = 10;
+  constexpr int kOracleRepsPerRound = 2;
+  constexpr int kEvidenceRepsPerRound = 4;
+  double bestOracleMs = 0.0;
+  double bestEvidenceMs = 0.0;
+  std::vector<double> evidenceRatios;
+  std::uint64_t oracleBytes = 0, oracleCalls = 0;
+  std::uint64_t evidenceBytes = 0, evidenceCalls = 0;
+  for (int round = 0; round < kEvidenceRounds; ++round) {
+    std::uint64_t bytesBefore = g_allocBytes.load(std::memory_order_relaxed);
+    std::uint64_t callsBefore = g_allocCalls.load(std::memory_order_relaxed);
+    const util::StopWatch oracleWatch;
+    for (int rep = 0; rep < kOracleRepsPerRound; ++rep) runOracle();
+    const double oracleMs = oracleWatch.elapsedMs() / kOracleRepsPerRound;
+    oracleBytes += g_allocBytes.load(std::memory_order_relaxed) - bytesBefore;
+    oracleCalls += g_allocCalls.load(std::memory_order_relaxed) - callsBefore;
+
+    bytesBefore = g_allocBytes.load(std::memory_order_relaxed);
+    callsBefore = g_allocCalls.load(std::memory_order_relaxed);
+    const util::StopWatch evidenceWatch;
+    for (int rep = 0; rep < kEvidenceRepsPerRound; ++rep) runEvidence();
+    const double evidenceMs =
+        evidenceWatch.elapsedMs() / kEvidenceRepsPerRound;
+    evidenceBytes +=
+        g_allocBytes.load(std::memory_order_relaxed) - bytesBefore;
+    evidenceCalls +=
+        g_allocCalls.load(std::memory_order_relaxed) - callsBefore;
+
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (!sameEvidence(oracleLists[i], snapshotLists[i])) {
+        std::fprintf(stderr,
+                     "FATAL: snapshot evidence diverged from the oracle on "
+                     "%s pair %zu\n",
+                     name.c_str(), i);
+        std::exit(1);
+      }
+    }
+    if (round == 0 || oracleMs < bestOracleMs) bestOracleMs = oracleMs;
+    if (round == 0 || evidenceMs < bestEvidenceMs) bestEvidenceMs = evidenceMs;
+    evidenceRatios.push_back(oracleMs / evidenceMs);
+  }
+  const auto stepsPerRep = static_cast<double>(pairs.size());
+  const double oracleSteps = kEvidenceRounds * kOracleRepsPerRound * stepsPerRep;
+  const double evidenceSteps =
+      kEvidenceRounds * kEvidenceRepsPerRound * stepsPerRep;
+  report.evidenceOracle.stepsPerSec = stepsPerRep / (bestOracleMs / 1000.0);
+  report.evidenceOracle.bytesPerStep =
+      static_cast<double>(oracleBytes) / oracleSteps;
+  report.evidenceOracle.allocsPerStep =
+      static_cast<double>(oracleCalls) / oracleSteps;
+  report.evidence.stepsPerSec = stepsPerRep / (bestEvidenceMs / 1000.0);
+  report.evidence.bytesPerStep =
+      static_cast<double>(evidenceBytes) / evidenceSteps;
+  report.evidence.allocsPerStep =
+      static_cast<double>(evidenceCalls) / evidenceSteps;
+  report.evidenceSpeedup = medianOf(evidenceRatios);
   return report;
 }
 
@@ -510,11 +611,19 @@ int main(int argc, char** argv) {
     std::printf("  stream    : %10.1f pages/s %10.1f bytes/page %8.2f allocs/page\n",
                 report.stream.stepsPerSec, report.stream.bytesPerStep,
                 report.stream.allocsPerStep);
+    std::printf("  evid oracle:%10.1f steps/s  %10.1f bytes/step  %8.2f allocs/step\n",
+                report.evidenceOracle.stepsPerSec,
+                report.evidenceOracle.bytesPerStep,
+                report.evidenceOracle.allocsPerStep);
+    std::printf("  evidence  : %10.1f steps/s  %10.1f bytes/step  %8.2f allocs/step\n",
+                report.evidence.stepsPerSec, report.evidence.bytesPerStep,
+                report.evidence.allocsPerStep);
     std::printf("  speedup   : %.2fx   instrumented ratio: %.2f   "
                 "store ratio: %.2f   snapshot build: %.1f us/doc   "
-                "stream ratio: %.2fx\n\n",
+                "stream ratio: %.2fx   evidence speedup: %.2fx\n\n",
                 report.speedup, report.instrumentedRatio, report.storeRatio,
-                report.snapshotBuildUsPerDoc, report.streamRatio);
+                report.snapshotBuildUsPerDoc, report.streamRatio,
+                report.evidenceSpeedup);
 
     char buffer[256];
     std::snprintf(buffer, sizeof(buffer),
@@ -533,14 +642,20 @@ int main(int argc, char** argv) {
     json += ",\n";
     appendLoopJson(json, "stream", report.stream);
     json += ",\n";
+    appendLoopJson(json, "evidence_oracle", report.evidenceOracle);
+    json += ",\n";
+    appendLoopJson(json, "evidence", report.evidence);
+    json += ",\n";
     std::snprintf(buffer, sizeof(buffer),
                   "      \"speedup\": %.2f,\n"
                   "      \"instrumented_ratio\": %.2f,\n"
                   "      \"store_ratio\": %.2f,\n"
                   "      \"stream_ratio\": %.2f,\n"
+                  "      \"evidence_speedup\": %.2f,\n"
                   "      \"snapshot_build_us_per_doc\": %.1f\n    }%s\n",
                   report.speedup, report.instrumentedRatio, report.storeRatio,
-                  report.streamRatio, report.snapshotBuildUsPerDoc,
+                  report.streamRatio, report.evidenceSpeedup,
+                  report.snapshotBuildUsPerDoc,
                   i + 1 < reports.size() ? "," : "");
     json += buffer;
   }

@@ -10,7 +10,6 @@
 #include "browser/browser.h"
 #include "core/cookie_picker.h"
 #include "core/explain.h"
-#include "html/parser.h"
 #include "net/network.h"
 #include "server/generator.h"
 #include "util/clock.h"
@@ -60,12 +59,11 @@ int main() {
     const auto hidden = browser.hiddenFetch(
         view,
         [](const cookies::CookieRecord& record) { return record.persistent; });
-    // The browser's streaming pipeline keeps only flattened snapshots;
-    // explanations want real node trees, so re-parse the retained HTML.
-    const auto regularTree = html::parseHtml(view.containerHtml);
-    const auto hiddenTree = html::parseHtml(hidden.html);
+    // Each copy's snapshot plus the HTML it was built from is all an
+    // explanation needs: no node tree, no second parse.
     std::printf("\nwhy: %s",
-                core::explainDifference(*regularTree, *hiddenTree)
+                core::explainDifference({*view.snapshot, view.containerHtml},
+                                        {*hidden.snapshot, hidden.html})
                     .summary()
                     .c_str());
   }

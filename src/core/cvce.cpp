@@ -139,14 +139,15 @@ double nTextSim(const std::set<std::string>& s1,
   return unionSize == 0 ? 1.0 : numerator / static_cast<double>(unionSize);
 }
 
-void extractContextContentFeatures(const dom::TreeSnapshot& snapshot,
-                                   std::uint32_t root,
-                                   const CvceOptions& options,
-                                   CvceScratch& scratch,
-                                   CvceFeatureSet& output) {
-  obs::ScopedTimer span(obs::Timer::CvceExtract);
-  obs::count(obs::Counter::CvceExtractions);
-  output.clear();
+namespace {
+
+// Figure 4's traversal over a snapshot, calling emit(contextId, row) for
+// every text row that survives the noise rules. Both extraction entry
+// points run this one walk, so the filters live in exactly one place.
+template <typename Emit>
+void walkContextContent(const dom::TreeSnapshot& snapshot, std::uint32_t root,
+                        const CvceOptions& options, CvceScratch& scratch,
+                        Emit&& emit) {
   auto& stack = scratch.stack;
   stack.clear();
   dom::ContextInterner& contexts = dom::globalContextInterner();
@@ -170,7 +171,7 @@ void extractContextContentFeatures(const dom::TreeSnapshot& snapshot,
           (!options.filterNonAlphanumeric ||
            snapshot.textHasAlphanumeric(i)) &&
           (!options.filterDateTime || !snapshot.textLooksLikeDateTime(i))) {
-        output.push_back({context, snapshot.textHash(i)});
+        emit(context, i);
       }
       // The reference never descends below a text node; on well-formed DOM
       // this is ++i, but degenerate trees can carry subtrees here.
@@ -193,8 +194,52 @@ void extractContextContentFeatures(const dom::TreeSnapshot& snapshot,
       ++i;
     }
   }
+}
+
+}  // namespace
+
+void extractContextContentFeatures(const dom::TreeSnapshot& snapshot,
+                                   std::uint32_t root,
+                                   const CvceOptions& options,
+                                   CvceScratch& scratch,
+                                   CvceFeatureSet& output) {
+  obs::ScopedTimer span(obs::Timer::CvceExtract);
+  obs::count(obs::Counter::CvceExtractions);
+  output.clear();
+  walkContextContent(snapshot, root, options, scratch,
+                     [&](dom::ContextId context, std::uint32_t row) {
+                       output.push_back({context, snapshot.textHash(row)});
+                     });
   std::sort(output.begin(), output.end());
   output.erase(std::unique(output.begin(), output.end()), output.end());
+}
+
+void extractContextContentFeatures(const dom::TreeSnapshot& snapshot,
+                                   std::uint32_t root,
+                                   const CvceOptions& options,
+                                   CvceScratch& scratch,
+                                   std::vector<LocatedFeature>& output) {
+  obs::ScopedTimer span(obs::Timer::CvceExtract);
+  obs::count(obs::Counter::CvceExtractions);
+  output.clear();
+  walkContextContent(snapshot, root, options, scratch,
+                     [&](dom::ContextId context, std::uint32_t row) {
+                       output.push_back({{context, snapshot.textHash(row)},
+                                         row});
+                     });
+  // Rows ascend within equal features, so the survivor of each run is the
+  // feature's first row.
+  std::sort(output.begin(), output.end(),
+            [](const LocatedFeature& a, const LocatedFeature& b) {
+              return a.feature == b.feature ? a.row < b.row
+                                            : a.feature < b.feature;
+            });
+  output.erase(std::unique(output.begin(), output.end(),
+                           [](const LocatedFeature& a,
+                              const LocatedFeature& b) {
+                             return a.feature == b.feature;
+                           }),
+               output.end());
 }
 
 namespace {

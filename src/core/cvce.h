@@ -95,6 +95,21 @@ void extractContextContentFeatures(const dom::TreeSnapshot& snapshot,
                                    CvceScratch& scratch,
                                    CvceFeatureSet& output);
 
+// A feature plus the preorder row of the first text node that produced it
+// — what the audit evidence needs to recover the text behind a hash.
+struct LocatedFeature {
+  CvceFeature feature;
+  std::uint32_t row = 0;
+};
+
+// The same extraction (one traversal, same rules, same counters), reporting
+// each feature's first row. `output` is sorted by feature and deduplicated.
+void extractContextContentFeatures(const dom::TreeSnapshot& snapshot,
+                                   std::uint32_t root,
+                                   const CvceOptions& options,
+                                   CvceScratch& scratch,
+                                   std::vector<LocatedFeature>& output);
+
 // Formula 3 as a linear merge over two sorted feature sets, with the
 // same-context replacement credit computed from context-bucketed unique
 // counts — integer-for-integer the arithmetic of the reference nTextSim,

@@ -6,13 +6,26 @@
 // versions at the level the detection algorithms work on and renders the
 // evidence: which structural regions only exist in one version, and which
 // text content appeared or disappeared.
+//
+// Evidence is read from the two snapshots the decision already compared,
+// plus each copy's retained HTML. Structure counts rows by interned path
+// ID; text re-runs the CVCE feature extraction and diffs (context, hash)
+// features. Strings are built only for what a list reports, and a reported
+// text row's words are recovered by re-running the streaming builder over
+// that copy's HTML. The dom::Node overloads compute the same lists from
+// node trees; they are the oracle the differential tests compare against,
+// and no production path calls them.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/decision.h"
 #include "dom/node.h"
+#include "dom/snapshot.h"
+#include "html/stream_snapshot.h"
 
 namespace cookiepicker::core {
 
@@ -24,7 +37,8 @@ struct DifferenceExplanation {
   std::vector<std::string> structureOnlyInRegular;
   std::vector<std::string> structureOnlyInHidden;
 
-  // Context-content strings unique to each version (same cap).
+  // Context-content strings unique to each version, in string order (same
+  // cap).
   std::vector<std::string> textOnlyInRegular;
   std::vector<std::string> textOnlyInHidden;
 
@@ -37,16 +51,54 @@ struct ExplainOptions {
   std::size_t maxItems = 5;
 };
 
+// One copy of a page as the detector saw it: its snapshot and the HTML the
+// snapshot was built from (default ParseOptions, as the browser builds it).
+struct PageCopy {
+  const dom::TreeSnapshot& snapshot;
+  std::string_view html;
+};
+
+// Reusable scratch for snapshot evidence: one per engine, not thread-safe.
+struct EvidenceScratch {
+  CvceScratch cvce;
+  std::vector<LocatedFeature> regularFeatures;
+  std::vector<LocatedFeature> hiddenFeatures;
+  std::vector<LocatedFeature> oneSided;
+  // Countable rows' path IDs, sorted; the walk's open frames.
+  std::vector<dom::ContextId> regularPaths;
+  std::vector<dom::ContextId> hiddenPaths;
+  struct PathFrame {
+    std::uint32_t row;
+    dom::ContextId path;
+    int level;
+  };
+  std::vector<PathFrame> pathStack;
+  // A path's tag chain, and tag names by SymbolId.
+  std::vector<dom::SymbolId> chain;
+  std::vector<std::optional<std::string>> symbolNames;
+  // Re-runs a copy's HTML to recover the text of reported rows.
+  html::StreamingSnapshotBuilder builder;
+  std::string collapsed;
+};
+
 // Runs the decision algorithms and gathers the supporting evidence.
-DifferenceExplanation explainDifference(const dom::Node& regularDocument,
-                                        const dom::Node& hiddenDocument,
+DifferenceExplanation explainDifference(PageCopy regular, PageCopy hidden,
                                         const ExplainOptions& options = {});
 
 // Evidence-gathering half of explainDifference: fills the four
 // structure/text lists without re-running the decision (the caller supplies
 // `explanation.decision` itself, typically from a verdict it already has —
-// the audit trail uses this to attach evidence to cookie-caused verdicts
-// without paying for a second detection pass).
+// the audit trail uses this to attach evidence to cookie-caused verdicts).
+// Counts two CVCE extractions, as the oracle does.
+void collectDifferenceEvidence(PageCopy regular, PageCopy hidden,
+                               const ExplainOptions& options,
+                               EvidenceScratch& scratch,
+                               DifferenceExplanation& explanation);
+
+// The oracle: the same lists from parsed node trees.
+DifferenceExplanation explainDifference(const dom::Node& regularDocument,
+                                        const dom::Node& hiddenDocument,
+                                        const ExplainOptions& options = {});
 void collectDifferenceEvidence(const dom::Node& regularDocument,
                                const dom::Node& hiddenDocument,
                                const ExplainOptions& options,

@@ -633,9 +633,8 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
   // runs over snapshot arrays with this engine's reusable scratch. The
   // reference dom::Node path stays reachable via the config escape hatch
   // (and as the fallback when a caller hands in views without snapshots).
-  // Streaming-mode views carry no node tree at all, so the reference path
-  // — the escape hatch and the audit evidence diff below — re-parses the
-  // retained HTML lazily, at most once per copy per step.
+  // Streaming-mode views carry no node tree at all, so the escape hatch
+  // re-parses the retained HTML lazily, at most once per copy per step.
   std::unique_ptr<dom::Node> lazyRegular;
   std::unique_ptr<dom::Node> lazyHidden;
   const auto regularDocument = [&]() -> const dom::Node& {
@@ -806,15 +805,18 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
       record.attributionConfirmStrips = report.attributionConfirmStrips;
     }
     if (report.decision.causedByCookies) {
-      // Evidence costs a reference-path diff, so it is gathered only for
-      // the verdicts a user would ask about — the ones that marked (or
-      // would have marked) cookies.
+      // Evidence is gathered only for the verdicts a user would ask about —
+      // the ones that marked (or would have marked) cookies. It reads the
+      // two snapshots the decision compared (every browser view carries
+      // one, in either DomMode) and the retained HTML; no node tree.
+      obs::ScopedTimer evidenceSpan(obs::Timer::AuditEvidence);
       ExplainOptions explainOptions;
       explainOptions.decision = config_.decision;
       DifferenceExplanation evidence;
       evidence.decision = report.decision;
-      collectDifferenceEvidence(regularDocument(), hiddenDocument(),
-                                explainOptions, evidence);
+      collectDifferenceEvidence({*view.snapshot, view.containerHtml},
+                                {*hidden.snapshot, hidden.html},
+                                explainOptions, evidenceScratch_, evidence);
       record.evidenceStructureRegular =
           std::move(evidence.structureOnlyInRegular);
       record.evidenceStructureHidden =

@@ -21,6 +21,7 @@
 #include "browser/browser.h"
 #include "cookies/record.h"
 #include "core/decision.h"
+#include "core/explain.h"
 #include "obs/audit.h"
 #include "store/state_sink.h"
 #include "util/stats.h"
@@ -220,6 +221,10 @@ class ForcumEngine {
   // Reused by every detection step this engine runs (steps are serialized
   // by the CookiePicker facade lock; fleet workers own distinct engines).
   DetectionScratch scratch_;
+  // Reused by the audit evidence of cookie-caused steps, under the same
+  // serialization. Separate from scratch_, which a re-probe's agreement
+  // decision overwrites before the evidence runs.
+  EvidenceScratch evidenceScratch_;
   std::map<std::string, SiteState> sites_;
   // Round-robin cursor for PerCookie mode, per host.
   std::map<std::string, std::size_t> perCookieCursor_;

@@ -1,5 +1,6 @@
 #include "dom/interner.h"
 
+#include <algorithm>
 #include <mutex>
 #include <stdexcept>
 
@@ -62,9 +63,25 @@ ContextId ContextInterner::internKey(std::uint64_t key) {
     if (it != ids_.end()) return it->second;
   }
   std::unique_lock lock(mutex_);
-  const auto [it, inserted] = ids_.emplace(key, next_);
-  if (inserted) ++next_;
+  const auto [it, inserted] =
+      ids_.emplace(key, static_cast<ContextId>(keys_.size()));
+  if (inserted) keys_.push_back(key);
   return it->second;
+}
+
+bool ContextInterner::tags(ContextId id, std::vector<SymbolId>& tags) const {
+  tags.clear();
+  std::shared_lock lock(mutex_);
+  if (id >= keys_.size()) return false;
+  bool seeded = false;
+  while (id != kEmpty) {
+    const std::uint64_t key = keys_[id];
+    tags.push_back(static_cast<SymbolId>(key));
+    seeded = ((key >> 32) & 1U) != 0;
+    id = static_cast<ContextId>(key >> 33);
+  }
+  std::reverse(tags.begin(), tags.end());
+  return seeded;
 }
 
 std::size_t ContextInterner::size() const {

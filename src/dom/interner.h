@@ -69,6 +69,12 @@ class ContextInterner {
   // yields the reference path ":tag" — distinct from seed(tag)'s "tag".
   ContextId extend(ContextId parent, SymbolId tag);
 
+  // Reverse lookup: the tag chain of `id`, root first, into `tags`
+  // (cleared first). Returns true when the chain starts with a seed, false
+  // when it hangs off kEmpty (kEmpty itself and unknown IDs give an empty
+  // chain). Takes the lock once, so a deep chain costs one walk.
+  bool tags(ContextId id, std::vector<SymbolId>& tags) const;
+
   std::size_t size() const;
 
  private:
@@ -76,7 +82,7 @@ class ContextInterner {
 
   mutable std::shared_mutex mutex_;
   std::unordered_map<std::uint64_t, ContextId> ids_;
-  ContextId next_ = 1;  // 0 is kEmpty
+  std::vector<std::uint64_t> keys_{0};  // keys_[id]: id's packed key
 };
 
 SymbolInterner& globalSymbolInterner();

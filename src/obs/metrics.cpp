@@ -88,6 +88,7 @@ constexpr const char* kTimerNames[kTimerCount] = {
     "hidden_fetch",
     "page_visit",
     "forcum_step",
+    "audit_evidence",
     "serve_dispatch",
 };
 

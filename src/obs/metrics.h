@@ -149,6 +149,7 @@ enum class Timer : std::uint8_t {
   HiddenFetch,    // Browser::hiddenFetch round trip (host time)
   PageVisit,      // Browser::visit end to end (host time)
   ForcumStep,     // ForcumEngine::runStep end to end (host time)
+  AuditEvidence,  // difference evidence for a cookie-caused audit record
   ServeDispatch,  // async-client request round trip over real sockets
   kCount,
 };

@@ -1,8 +1,9 @@
 // Flight-recorder tests: metrics registry mechanics (sharded counters,
 // gauge merge policies, log2 histograms), thread-local sink routing, the
 // audit-trail JSONL round trip, the 1-vs-8-worker determinism of the
-// deterministic metrics and audit bytes, and the guarantee that the PR-2
-// detection hot path still allocates nothing with instrumentation enabled.
+// deterministic metrics and audit bytes, the guarantee that the detection
+// hot path still allocates nothing with instrumentation enabled, and that
+// audit evidence stays linear on deeply nested pages.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +18,10 @@
 
 #include "browser/browser.h"
 #include "core/decision.h"
+#include "core/explain.h"
 #include "fleet/fleet.h"
+#include "html/parser.h"
+#include "html/stream_snapshot.h"
 #include "net/network.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
@@ -424,6 +428,75 @@ TEST(ObsHotPath, DetectionStepAllocatesNothingWithInstrumentationOn) {
   EXPECT_GE(snapshot.timer(obs::Timer::Decision).count,
             static_cast<std::uint64_t>(kSteps));
 #endif
+}
+
+// --- audit evidence on deep nesting -------------------------------------------
+
+// A page whose only text sits `depth` <div>s below <body>; the open
+// elements close at end of input.
+std::string nestedPage(int depth, const std::string& text) {
+  std::string html = "<html><body>";
+  for (int i = 0; i < depth; ++i) html += "<div>";
+  return html + "<p>" + text + "</p>";
+}
+
+// The oracle copies the whole context string at every nesting level, so
+// its memory grows with the square of the depth (about 2 400 bytes per
+// input byte at 8 000 levels). Snapshot evidence must stay linear.
+TEST(ObsEvidence, DeepNestingAllocatesLinearly) {
+#ifdef CP_OBS_TEST_SANITIZED
+  GTEST_SKIP() << "allocation accounting is not meaningful under sanitizers";
+#else
+  constexpr int kDepth = 8000;
+  const std::string regular = nestedPage(kDepth, "welcome back member");
+  const std::string hidden = nestedPage(kDepth, "please sign in");
+  const auto regularSnapshot = html::buildSnapshotStreaming(regular).snapshot;
+  const auto hiddenSnapshot = html::buildSnapshotStreaming(hidden).snapshot;
+  core::EvidenceScratch scratch;
+  core::DifferenceExplanation evidence;
+
+  const std::uint64_t bytesBefore =
+      g_allocBytes.load(std::memory_order_relaxed);
+  core::collectDifferenceEvidence({*regularSnapshot, regular},
+                                  {*hiddenSnapshot, hidden}, {}, scratch,
+                                  evidence);
+  const auto allocated = static_cast<double>(
+      g_allocBytes.load(std::memory_order_relaxed) - bytesBefore);
+  const auto inputBytes = static_cast<double>(regular.size() + hidden.size());
+  EXPECT_LE(allocated / inputBytes, 64.0)
+      << allocated << " bytes allocated for " << inputBytes << " input bytes";
+
+  // The one line per side carries the full 8 000-level context.
+  ASSERT_EQ(evidence.textOnlyInRegular.size(), 1u);
+  ASSERT_EQ(evidence.textOnlyInHidden.size(), 1u);
+  std::string context = "body";
+  for (int i = 0; i < kDepth; ++i) context += ":div";
+  EXPECT_EQ(evidence.textOnlyInRegular[0],
+            context + ":p|>welcome back member");
+  EXPECT_EQ(evidence.textOnlyInHidden[0], context + ":p|>please sign in");
+#endif
+}
+
+TEST(ObsEvidence, DeepNestingMatchesOracle) {
+  constexpr int kDepth = 2000;
+  const std::string regular = nestedPage(kDepth, "welcome back member");
+  const std::string hidden = nestedPage(kDepth, "please sign in");
+  const auto regularSnapshot = html::buildSnapshotStreaming(regular).snapshot;
+  const auto hiddenSnapshot = html::buildSnapshotStreaming(hidden).snapshot;
+  core::EvidenceScratch scratch;
+  core::DifferenceExplanation evidence;
+  core::collectDifferenceEvidence({*regularSnapshot, regular},
+                                  {*hiddenSnapshot, hidden}, {}, scratch,
+                                  evidence);
+
+  core::DifferenceExplanation oracle;
+  core::collectDifferenceEvidence(*html::parseHtml(regular),
+                                  *html::parseHtml(hidden), {}, oracle);
+  ASSERT_EQ(oracle.textOnlyInRegular.size(), 1u);
+  EXPECT_EQ(evidence.textOnlyInRegular, oracle.textOnlyInRegular);
+  EXPECT_EQ(evidence.textOnlyInHidden, oracle.textOnlyInHidden);
+  EXPECT_EQ(evidence.structureOnlyInRegular, oracle.structureOnlyInRegular);
+  EXPECT_EQ(evidence.structureOnlyInHidden, oracle.structureOnlyInHidden);
 }
 
 }  // namespace

@@ -13,8 +13,12 @@
 # cost a fixed ~0.5-0.8us against a ~10us step, so the ratio floats with
 # machine speed and 0.95 had near-zero margin), and (d) the streaming
 # tokenizer→snapshot pipeline processing pages at least MIN_STREAM_RATIO
-# (default 3) times faster than the reference parseHtml + TreeSnapshot pass.
-# All three ratios are medians of paired adjacent timing rounds inside the
+# (default 3) times faster than the reference parseHtml + TreeSnapshot pass,
+# and (e) the audit evidence of a cookie-caused step, computed from the
+# snapshots, running at least MIN_EVIDENCE_SPEEDUP (default 2) times faster
+# than the oracle that parses both copies and diffs node trees (the bench
+# checks every round that both produce the same lists).
+# All four ratios are medians of paired adjacent timing rounds inside the
 # bench, so ambient machine noise perturbs single rounds, not the gate.
 #
 # The serve bench (BENCH_serve.json) gates the socket service tier: closed-
@@ -57,6 +61,7 @@ MIN_SPEEDUP="${MIN_SPEEDUP:-3}"
 MIN_INSTRUMENTED_RATIO="${MIN_INSTRUMENTED_RATIO:-0.9}"
 MIN_STORE_RATIO="${MIN_STORE_RATIO:-0.9}"
 MIN_STREAM_RATIO="${MIN_STREAM_RATIO:-3.0}"
+MIN_EVIDENCE_SPEEDUP="${MIN_EVIDENCE_SPEEDUP:-2}"
 MIN_SERVE_QPS="${MIN_SERVE_QPS:-10000}"
 MAX_SERVE_P99_MS="${MAX_SERVE_P99_MS:-50}"
 MIN_SERVE_REUSE="${MIN_SERVE_REUSE:-0.9}"
@@ -114,6 +119,7 @@ gate BENCH_hotpath.json speedup ">=" "$MIN_SPEEDUP"
 gate BENCH_hotpath.json instrumented_ratio ">=" "$MIN_INSTRUMENTED_RATIO"
 gate BENCH_hotpath.json store_ratio ">=" "$MIN_STORE_RATIO"
 gate BENCH_hotpath.json stream_ratio ">=" "$MIN_STREAM_RATIO"
+gate BENCH_hotpath.json evidence_speedup ">=" "$MIN_EVIDENCE_SPEEDUP"
 gate BENCH_serve.json qps ">=" "$MIN_SERVE_QPS"
 gate BENCH_serve.json p99_ms "<=" "$MAX_SERVE_P99_MS"
 gate BENCH_serve.json reuse_ratio ">=" "$MIN_SERVE_REUSE"

@@ -20,7 +20,8 @@
 # snapshot differential fuzz suite and the HTML torture suite in the TSan
 # and ASan trees with COOKIEPICKER_FUZZ=8, which scales the
 # generated-document corpus eightfold (every document byte-compared across
-# the streaming and reference pipelines, with mutation rounds). The
+# the streaming and reference pipelines, with mutation rounds, and every
+# generated pair's audit evidence compared with the node-tree oracle). The
 # serve-soak configs re-run the service-tier suites (event loop,
 # real-socket e2e parity, and the flapping-origin verdict soak) in the
 # TSan and ASan trees with
@@ -124,22 +125,27 @@ for config in "${CONFIGS[@]}"; do
       # tree: thousands of seeded/mutated documents through the streaming
       # and reference snapshot producers, byte-compared, while TSan watches
       # the shared interners. The HTML torture suite rides along, so the
-      # tokenizer's view scratch sees the hostile corpus too.
+      # tokenizer's view scratch sees the hostile corpus too, and so does
+      # the audit-evidence differential (snapshot evidence against the
+      # node-tree oracle on the rosters and the scaled fuzz corpus).
       sanitize="thread"
       fuzz_env="8"
-      test_filter="SnapshotDifferential|Torture\.|BrokenFragment"
-      soak_target="snapshot_differential_test html_torture_test"
+      test_filter="SnapshotDifferential|EvidenceDifferential|Torture\.|BrokenFragment"
+      soak_target="snapshot_differential_test evidence_differential_test
+                   html_torture_test"
       build_dir="$ROOT/build-check-thread"
       ;;
     fuzz-address)
       # The same scaled fuzz under ASan/UBSan: the builder's index patching
       # (subtree extents, merged text rows, structural flags) must never
       # write out of bounds on hostile shapes, and no token view may outlive
-      # the tokenizer scratch it points into (HTML torture suite included).
+      # the tokenizer scratch it points into (HTML torture suite and the
+      # evidence differential's text scans included).
       sanitize="address"
       fuzz_env="8"
-      test_filter="SnapshotDifferential|Torture\.|BrokenFragment"
-      soak_target="snapshot_differential_test html_torture_test"
+      test_filter="SnapshotDifferential|EvidenceDifferential|Torture\.|BrokenFragment"
+      soak_target="snapshot_differential_test evidence_differential_test
+                   html_torture_test"
       build_dir="$ROOT/build-check-address"
       ;;
     serve-thread)

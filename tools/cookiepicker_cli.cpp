@@ -477,9 +477,11 @@ int runReplay(const Options& options) {
 
 // Instrumented fleet run: prints the flight recorder's deterministic
 // counters plus where the host time went, phase by phase. The "share"
-// column is over the non-overlapping leaf phases (parse, snapshot build,
-// RSTM DP, CVCE extract/merge); the umbrella spans (decision, hidden fetch,
-// page visit, FORCUM step) nest those and are listed without a share.
+// column splits the page-visit plus FORCUM-step time (the two never nest)
+// into the non-overlapping leaf phases (parse, snapshot build, stream
+// build, RSTM DP, CVCE extract/merge) and an `unattributed` remainder; the
+// umbrella spans (decision, hidden fetch, page visit, FORCUM step, audit
+// evidence) nest leaves and are listed without a share.
 int runStats(const Options& options) {
   util::SimClock serverClock;
   net::Network network(options.seed);
@@ -521,7 +523,14 @@ int runStats(const Options& options) {
   for (const obs::Timer timer : leafPhases) {
     leafTotalMs += metrics.timer(timer).totalMs();
   }
-  std::printf("\nper-phase host time (share over leaf phases):\n");
+  const double wholeMs = metrics.timer(obs::Timer::PageVisit).totalMs() +
+                         metrics.timer(obs::Timer::ForcumStep).totalMs();
+  const auto shareOfWhole = [wholeMs](double ms) {
+    return wholeMs > 0.0
+               ? util::TextTable::formatDouble(100.0 * ms / wholeMs, 1) + "%"
+               : std::string("-");
+  };
+  std::printf("\nper-phase host time (share of page visits + FORCUM steps):\n");
   std::printf("  %-16s %10s %12s %10s %10s %7s\n", "phase", "count",
               "total ms", "mean ms", "p90 ms", "share");
   for (std::size_t i = 0; i < obs::kTimerCount; ++i) {
@@ -531,18 +540,17 @@ int runStats(const Options& options) {
     const bool leaf =
         std::find(std::begin(leafPhases), std::end(leafPhases), timer) !=
         std::end(leafPhases);
-    std::string share = "-";
-    if (leaf && leafTotalMs > 0.0) {
-      share = util::TextTable::formatDouble(
-                  100.0 * histogram.totalMs() / leafTotalMs, 1) +
-              "%";
-    }
+    const std::string share = leaf ? shareOfWhole(histogram.totalMs()) : "-";
     std::printf("  %-16s %10llu %12.2f %10.4f %10.4f %7s\n",
                 obs::timerName(timer),
                 static_cast<unsigned long long>(histogram.count),
                 histogram.totalMs(), histogram.meanMs(),
                 histogram.percentileMs(90.0), share.c_str());
   }
+  // No count, mean or p90: the remainder is not a span.
+  std::printf("  %-16s %10s %12.2f %10s %10s %7s\n", "unattributed", "",
+              wholeMs - leafTotalMs, "", "",
+              shareOfWhole(wholeMs - leafTotalMs).c_str());
   const std::string auditJsonl = report.auditJsonl();
   std::printf("\naudit records        : %llu\n",
               static_cast<unsigned long long>(
