@@ -29,8 +29,8 @@ namespace cookiepicker::browser {
 //    Builder directly — one pass, no dom::Node tree is ever built, and
 //    PageView::document / HiddenFetchResult::document stay null. Consumers
 //    that genuinely need a node tree (the DecisionConfig::useSnapshotFastPath
-//    escape hatch, audit evidence collection, the Doppelganger baseline)
-//    re-parse the retained HTML lazily.
+//    escape hatch, the Doppelganger baseline) re-parse the retained HTML
+//    lazily; audit evidence reads the snapshots.
 //  * Reference: the original parseHtml + TreeSnapshot(Node) pipeline. Kept
 //    as the differential-testing and A/B-measurement twin; both modes
 //    produce byte-identical snapshots and subresource lists (pinned by
