@@ -8,7 +8,6 @@
 #include "html/parser.h"
 #include "obs/recorder.h"
 #include "util/log.h"
-#include "util/strings.h"
 
 namespace cookiepicker::browser {
 
@@ -95,9 +94,8 @@ void Browser::storeResponseCookies(const net::HttpResponse& response,
   }
 }
 
-// Streaming twin of collectSubresources: the builder already walked the
-// document in preorder and recorded the raw references plus the first
-// <base href>; only URL resolution is left.
+// The page info (the first <base href> and the raw references in preorder)
+// came from the stream pass or the node tree; only URL resolution is left.
 std::vector<net::Url> Browser::resolveSubresources(
     const html::StreamPageInfo& page, const net::Url& documentUrl) const {
   const net::Url baseUrl = page.baseHref.empty()
@@ -108,40 +106,6 @@ std::vector<net::Url> Browser::resolveSubresources(
   for (const std::string& reference : page.subresourceRefs) {
     resources.push_back(baseUrl.resolve(reference));
   }
-  return resources;
-}
-
-std::vector<net::Url> Browser::collectSubresources(
-    const dom::Node& document, const net::Url& documentUrl) const {
-  // <base href> (first one wins) changes the URL all relative references
-  // resolve against.
-  net::Url baseUrl = documentUrl;
-  if (const dom::Node* base = document.findFirst("base")) {
-    if (const auto href = base->attribute("href");
-        href.has_value() && !href->empty()) {
-      baseUrl = documentUrl.resolve(*href);
-    }
-  }
-  std::vector<net::Url> resources;
-  dom::preorder(document, [&](const dom::Node& node, std::size_t) {
-    if (!node.isElement()) return true;
-    const std::string& tag = node.name();
-    std::optional<std::string> reference;
-    if (tag == "img" || tag == "script" || tag == "iframe" ||
-        tag == "embed") {
-      reference = node.attribute("src");
-    } else if (tag == "link") {
-      const auto rel = node.attribute("rel");
-      if (rel.has_value() &&
-          util::containsIgnoreCase(*rel, "stylesheet")) {
-        reference = node.attribute("href");
-      }
-    }
-    if (reference.has_value() && !reference->empty()) {
-      resources.push_back(baseUrl.resolve(*reference));
-    }
-    return true;
-  });
   return resources;
 }
 
@@ -173,7 +137,7 @@ PageView Browser::visit(const std::string& url) {
   return visit(*parsed);
 }
 
-PageView Browser::visit(const net::Url& url) {
+PageView Browser::visit(const net::Url& url, bool buildSnapshot) {
   obs::ScopedTimer visitSpan(obs::Timer::PageVisit);
   obs::count(obs::Counter::PagesVisited);
   PageView view;
@@ -204,10 +168,16 @@ PageView Browser::visit(const net::Url& url) {
   view.containerHtml = std::move(exchange.response.body);
   if (domMode_ == DomMode::Streaming) {
     // One pass: tokens flow straight into the snapshot arrays, and the
-    // subresource references fall out of the same walk. No node tree.
+    // subresource references fall out of the same walk. No node tree. A
+    // view nobody compares only needs the references.
     obs::ScopedTimer streamSpan(obs::Timer::StreamBuild);
-    html::StreamParseResult streamed = streamBuilder_.build(
-        view.containerHtml, {}, view.provenance.get());
+    html::StreamParseResult streamed;
+    if (buildSnapshot) {
+      streamed = streamBuilder_.build(view.containerHtml, {},
+                                      view.provenance.get());
+    } else {
+      streamed.page = streamBuilder_.scanPageInfo(view.containerHtml);
+    }
     view.snapshot = std::move(streamed.snapshot);
     view.subresources = resolveSubresources(streamed.page, view.url);
   } else {
@@ -222,7 +192,8 @@ PageView Browser::visit(const net::Url& url) {
       view.snapshot =
           std::make_shared<const dom::TreeSnapshot>(*view.document);
     }
-    view.subresources = collectSubresources(*view.document, view.url);
+    view.subresources =
+        resolveSubresources(html::collectPageInfo(*view.document), view.url);
   }
 
   // Object requests (stylesheets, images, scripts).
@@ -251,6 +222,14 @@ PageView Browser::visit(const net::Url& url) {
   clock_.advanceMs(static_cast<util::SimTimeMs>(maxBatchMs));
   view.loadedAtMs = clock_.nowMs();
   return view;
+}
+
+std::shared_ptr<const dom::TreeSnapshot> Browser::snapshotOf(
+    const PageView& view) {
+  if (view.snapshot != nullptr) return view.snapshot;
+  obs::ScopedTimer streamSpan(obs::Timer::StreamBuild);
+  return streamBuilder_.build(view.containerHtml, {}, view.provenance.get())
+      .snapshot;
 }
 
 HiddenFetchPlan Browser::planHiddenFetch(

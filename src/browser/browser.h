@@ -27,14 +27,15 @@ namespace cookiepicker::browser {
 //
 //  * Streaming (the default): the tokenizer feeds html::StreamingSnapshot-
 //    Builder directly — one pass, no dom::Node tree is ever built, and
-//    PageView::document / HiddenFetchResult::document stay null. Consumers
-//    that genuinely need a node tree (the DecisionConfig::useSnapshotFastPath
-//    escape hatch, the Doppelganger baseline) re-parse the retained HTML
-//    lazily; audit evidence reads the snapshots.
+//    PageView::document / HiddenFetchResult::document stay null. A page
+//    view no comparison is expected to read is only scanned for its
+//    subresources; snapshotOf builds its snapshot from the retained HTML
+//    if a comparison needs it after all.
 //  * Reference: the original parseHtml + TreeSnapshot(Node) pipeline. Kept
-//    as the differential-testing and A/B-measurement twin; both modes
-//    produce byte-identical snapshots and subresource lists (pinned by
-//    tests/snapshot_differential_test.cpp and the browser tests).
+//    as the differential-testing and A/B-measurement twin; it always builds
+//    the snapshot. Both modes produce byte-identical snapshots and
+//    subresource lists (pinned by tests/snapshot_differential_test.cpp and
+//    the browser tests).
 enum class DomMode {
   Streaming,
   Reference,
@@ -79,11 +80,10 @@ net::RetrySpec toRetrySpec(const RetryPolicy& policy,
                            std::uint64_t retriesUsed);
 
 struct HiddenFetchResult {
-  // Reference-mode only: the parsed node tree. Null in streaming mode —
-  // callers needing a tree re-parse `html` lazily.
+  // Reference-mode only: the parsed node tree. Null in streaming mode.
   std::unique_ptr<dom::Node> document;
-  // Flattened detection view of the response body, built at parse time like
-  // PageView::snapshot.
+  // Flattened detection view of the response body, always built at parse
+  // time: a hidden copy exists only to be compared.
   std::shared_ptr<const dom::TreeSnapshot> snapshot;
   std::string html;
   // Provenance map for `html`, mirroring PageView::provenance. Null unless
@@ -129,9 +129,17 @@ class Browser {
 
   // Full page view: follows redirects (bounded), stores cookies per policy,
   // parses the container into the regular DOM tree, fetches embedded
-  // objects. Advances the simulated clock by the load time.
-  PageView visit(const net::Url& url);
+  // objects. Advances the simulated clock by the load time. With
+  // `buildSnapshot` false, streaming mode only scans the container for its
+  // subresources and leaves PageView::snapshot null; reference mode always
+  // builds it.
+  PageView visit(const net::Url& url, bool buildSnapshot = true);
   PageView visit(const std::string& url);
+
+  // The view's detection snapshot: PageView::snapshot, or one built now
+  // from the retained containerHtml and the view's provenance map when the
+  // visit skipped it (each such call builds again).
+  std::shared_ptr<const dom::TreeSnapshot> snapshotOf(const PageView& view);
 
   // The hidden request of Section 3.1: same URI and headers as the saved
   // container request, with persistent cookies matching `excludePersistent`
@@ -220,8 +228,6 @@ class Browser {
   void storeResponseCookies(const net::HttpResponse& response,
                             const net::Url& requestUrl,
                             const net::Url& documentUrl);
-  std::vector<net::Url> collectSubresources(const dom::Node& document,
-                                            const net::Url& baseUrl) const;
   std::vector<net::Url> resolveSubresources(const html::StreamPageInfo& page,
                                             const net::Url& documentUrl) const;
   // Decodes X-Cookie-Provenance when wantProvenance_ is set; null on absent

@@ -29,14 +29,15 @@ struct PageView {
   // for replay as the hidden request).
   net::HttpRequest containerRequest;
   // The regular DOM tree. Only populated in DomMode::Reference; the
-  // streaming pipeline (the default) never builds it, and consumers that
-  // need a node tree re-parse `containerHtml` lazily.
+  // streaming pipeline (the default) never builds it.
   std::unique_ptr<dom::Node> document;
-  // Flattened detection view of the container page, built once at parse
-  // time and reused by every FORCUM step over this view (shared so reports
-  // and copies of the view alias one snapshot).
+  // Flattened detection view of the container page, built at parse time
+  // (shared so reports and copies of the view alias one snapshot). Null
+  // when the visit expected no comparison; Browser::snapshotOf then builds
+  // it from `containerHtml`.
   std::shared_ptr<const dom::TreeSnapshot> snapshot;
-  // Raw container HTML (kept for baselines that diff serialized text).
+  // Raw container HTML (kept for on-demand snapshots, audit evidence and
+  // baselines that diff serialized text).
   std::string containerHtml;
   // Byte-range → cookie-label map for `containerHtml`, decoded from the
   // origin's X-Cookie-Provenance header. Null unless the browser asked for

@@ -44,7 +44,10 @@ ForcumStepReport CookiePicker::browse(const std::string& url) {
 
 ForcumStepReport CookiePicker::browse(const net::Url& url) {
   std::lock_guard lock(mutex_);
-  const browser::PageView view = browser_.visit(url);
+  // A view no comparison will read skips its snapshot; FORCUM builds it
+  // later if training resumes on this very view.
+  const browser::PageView view =
+      browser_.visit(url, forcum_.mayCompare(url.host()));
   ForcumStepReport report = onPageLoadedLocked(view);
   browser_.think();
   return report;

@@ -26,12 +26,6 @@ struct DecisionConfig {
   CvceOptions cvce;
   bool sameContextCredit = true;  // the s term of Formula 3
   DecisionMode mode = DecisionMode::Both;
-  // Escape hatch: when false, FORCUM ignores the cached TreeSnapshots and
-  // runs the dom::Node reference implementations (reachable from
-  // CookiePickerConfig via forcum.decision). The two paths return
-  // bit-identical similarities; this exists for A/B measurement and as a
-  // belt-and-braces fallback.
-  bool useSnapshotFastPath = true;
 };
 
 struct DecisionResult {

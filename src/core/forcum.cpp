@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "core/explain.h"
-#include "html/parser.h"
 #include "obs/recorder.h"
 #include "util/clock.h"
 #include "util/strings.h"
@@ -186,6 +185,11 @@ const ForcumEngine::SiteState* ForcumEngine::siteState(
 bool ForcumEngine::isTrainingActive(const std::string& host) const {
   const SiteState* state = siteState(host);
   return state == nullptr ? true : state->trainingActive;
+}
+
+bool ForcumEngine::mayCompare(const std::string& host) const {
+  return isTrainingActive(host) &&
+         !browser_.jar().persistentCookiesForHost(host).empty();
 }
 
 std::vector<std::string> ForcumEngine::knownHosts() const {
@@ -395,19 +399,18 @@ void ForcumEngine::onBisectionOutcome(
 }
 
 void ForcumEngine::runAttribution(const browser::PageView& view,
+                                  const dom::TreeSnapshot& regular,
                                   const browser::HiddenFetchResult& hidden,
                                   SiteState& state,
                                   ForcumStepReport& report) {
   report.attributionRan = true;
   obs::count(obs::Counter::AttributionSteps);
 
-  // Attribution needs the taint-stamped snapshot fast path on both copies
-  // plus both provenance maps' name tables. Reference-mode views and
-  // provenance-unaware origins land here and fall back to marking nothing —
-  // the honest group semantics resume on the next step if the operator
-  // turns attribution off.
-  if (view.snapshot == nullptr || hidden.snapshot == nullptr ||
-      view.provenance == nullptr || hidden.provenance == nullptr) {
+  // Attribution needs both provenance maps' name tables. Provenance-unaware
+  // origins land here and fall back to marking nothing — the honest group
+  // semantics resume on the next step if the operator turns attribution
+  // off.
+  if (view.provenance == nullptr || hidden.provenance == nullptr) {
     report.attributionFallback = "no-provenance";
     obs::count(obs::Counter::AttributionFallbacks);
     return;
@@ -417,10 +420,8 @@ void ForcumEngine::runAttribution(const browser::PageView& view,
   // cookie's presence adds taints regular-only rows, while a region its
   // absence adds (a sign-up wall, a set-your-preferences banner) taints
   // hidden-only rows — branch-read taint labels both branches.
-  const provenance::LabelSet regularTaint =
-      diffTaint(*view.snapshot, *hidden.snapshot);
-  const provenance::LabelSet hiddenTaint =
-      diffTaint(*hidden.snapshot, *view.snapshot);
+  const provenance::LabelSet regularTaint = diffTaint(regular, *hidden.snapshot);
+  const provenance::LabelSet hiddenTaint = diffTaint(*hidden.snapshot, regular);
 
   bool overflow = false;
   std::set<std::string> implicated;
@@ -473,14 +474,6 @@ void ForcumEngine::runAttribution(const browser::PageView& view,
   // common case). Marking without the confirm would trust taint alone;
   // confirming keeps the verdict grounded in the paper's regular-vs-hidden
   // comparison, so a taint bug can cost rounds but never mis-mark.
-  std::unique_ptr<dom::Node> lazyRegular;
-  const auto regularDocument = [&]() -> const dom::Node& {
-    if (view.document != nullptr) return *view.document;
-    if (lazyRegular == nullptr) {
-      lazyRegular = html::parseHtml(view.containerHtml);
-    }
-    return *lazyRegular;
-  };
   for (const CookieKey& key : nominated) {
     browser::HiddenFetchResult confirm = browser_.hiddenFetch(
         view,
@@ -489,28 +482,15 @@ void ForcumEngine::runAttribution(const browser::PageView& view,
     obs::count(obs::Counter::AttributionConfirmStrips);
     report.hiddenLatencyMs += confirm.latencyMs;
     report.hiddenAttempts += confirm.attempts;
-    if (!confirm.usable() ||
-        (confirm.document == nullptr && confirm.snapshot == nullptr)) {
+    if (!confirm.usable()) {
       // Degraded confirm: this nomination marks nothing. Training stays
       // active, so an honest retry happens on a later view.
       report.attributionFallback = "confirm-degraded:" + failureLabel(confirm);
       continue;
     }
     ++state.hiddenRequests;
-    const bool fastPath = config_.decision.useSnapshotFastPath &&
-                          view.snapshot != nullptr &&
-                          confirm.snapshot != nullptr;
-    std::unique_ptr<dom::Node> lazyConfirm;
-    const DecisionResult verdict =
-        fastPath
-            ? decideCookieUsefulness(*view.snapshot, *confirm.snapshot,
-                                     scratch_, config_.decision)
-            : decideCookieUsefulness(
-                  regularDocument(),
-                  confirm.document != nullptr
-                      ? *confirm.document
-                      : *(lazyConfirm = html::parseHtml(confirm.html)),
-                  config_.decision);
+    const DecisionResult verdict = decideCookieUsefulness(
+        regular, *confirm.snapshot, scratch_, config_.decision);
     if (!verdict.causedByCookies) continue;
     const CookieRecord* record = browser_.jar().find(key);
     if (record != nullptr && !record->useful) {
@@ -538,11 +518,8 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
 
   // Only real container documents are trained on: an error page (5xx/4xx
   // from a transient failure) compared against a healthy hidden copy would
-  // mark every cookie in sight. Degrade to a counter-neutral skip. A view
-  // carries a snapshot (streaming mode) or a document (reference mode);
-  // either proves the container parsed.
-  if (view.status != 200 ||
-      (view.document == nullptr && view.snapshot == nullptr)) {
+  // mark every cookie in sight. Degrade to a counter-neutral skip.
+  if (view.status != 200) {
     report.skipped = true;
     report.skipReason = "container-error";
     obs::count(obs::Counter::ForcumStepsSkipped);
@@ -594,8 +571,7 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
   report.hiddenAttempts = hidden.attempts;
   report.testedGroup.assign(group.begin(), group.end());
 
-  if (!hidden.usable() ||
-      (hidden.document == nullptr && hidden.snapshot == nullptr)) {
+  if (!hidden.usable()) {
     // The hidden copy never usably arrived (retries exhausted, error
     // status, truncated body): no decision this round. The state counters
     // stay untouched — only usable hidden rounds count — and the skip
@@ -629,33 +605,15 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
   }
   ++state.hiddenRequests;
 
-  // Fast path: both copies were flattened at parse time, so the decision
-  // runs over snapshot arrays with this engine's reusable scratch. The
-  // reference dom::Node path stays reachable via the config escape hatch
-  // (and as the fallback when a caller hands in views without snapshots).
-  // Streaming-mode views carry no node tree at all, so the escape hatch
-  // re-parses the retained HTML lazily, at most once per copy per step.
-  std::unique_ptr<dom::Node> lazyRegular;
-  std::unique_ptr<dom::Node> lazyHidden;
-  const auto regularDocument = [&]() -> const dom::Node& {
-    if (view.document != nullptr) return *view.document;
-    if (lazyRegular == nullptr) {
-      lazyRegular = html::parseHtml(view.containerHtml);
-    }
-    return *lazyRegular;
-  };
-  const auto hiddenDocument = [&]() -> const dom::Node& {
-    if (hidden.document != nullptr) return *hidden.document;
-    if (lazyHidden == nullptr) lazyHidden = html::parseHtml(hidden.html);
-    return *lazyHidden;
-  };
-  const bool fastPath = config_.decision.useSnapshotFastPath &&
-                        view.snapshot != nullptr && hidden.snapshot != nullptr;
-  report.decision =
-      fastPath ? decideCookieUsefulness(*view.snapshot, *hidden.snapshot,
-                                        scratch_, config_.decision)
-               : decideCookieUsefulness(regularDocument(), hiddenDocument(),
-                                        config_.decision);
+  // The decision runs over the two snapshots with this engine's reusable
+  // scratch. The regular copy's snapshot was built at visit time when the
+  // visit expected a comparison (mayCompare); otherwise (training resumed
+  // on this view, a redirect to another host) it is built now, once, and
+  // every comparison below reads the same one.
+  const std::shared_ptr<const dom::TreeSnapshot> regular =
+      browser_.snapshotOf(view);
+  report.decision = decideCookieUsefulness(*regular, *hidden.snapshot,
+                                           scratch_, config_.decision);
   // The raw Figure-5 verdict, before any veto overwrites it — the audit
   // trail records this (its rederivation invariant depends on it).
   const bool rawVerdict = report.decision.causedByCookies;
@@ -669,8 +627,7 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
         });
     report.hiddenLatencyMs += reprobe.latencyMs;
     report.hiddenAttempts += reprobe.attempts;
-    if (!reprobe.usable() ||
-        (reprobe.document == nullptr && reprobe.snapshot == nullptr)) {
+    if (!reprobe.usable()) {
       // The confirming copy never arrived. Marking on an unconfirmed
       // verdict would defeat the re-probe's purpose, so the marking is
       // vetoed and the step degrades (the audit record keeps the real
@@ -688,19 +645,8 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
       DecisionConfig agreementConfig = config_.decision;
       agreementConfig.mode = DecisionMode::Either;
       agreementConfig.sameContextCredit = false;
-      std::unique_ptr<dom::Node> lazyReprobe;
-      const auto reprobeDocument = [&]() -> const dom::Node& {
-        if (reprobe.document != nullptr) return *reprobe.document;
-        if (lazyReprobe == nullptr) lazyReprobe = html::parseHtml(reprobe.html);
-        return *lazyReprobe;
-      };
-      const DecisionResult agreement =
-          (agreementConfig.useSnapshotFastPath &&
-           hidden.snapshot != nullptr && reprobe.snapshot != nullptr)
-              ? decideCookieUsefulness(*hidden.snapshot, *reprobe.snapshot,
-                                       scratch_, agreementConfig)
-              : decideCookieUsefulness(hiddenDocument(), reprobeDocument(),
-                                       agreementConfig);
+      const DecisionResult agreement = decideCookieUsefulness(
+          *hidden.snapshot, *reprobe.snapshot, scratch_, agreementConfig);
       report.reprobeRan = true;
       report.reprobeAgreement = agreement;
       if (agreement.causedByCookies) {
@@ -715,7 +661,7 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
   }
   if (config_.attribution == AttributionMode::Provenance) {
     if (report.decision.causedByCookies) {
-      runAttribution(view, hidden, state, report);
+      runAttribution(view, *regular, hidden, state, report);
     }
   } else if (config_.groupMode == CookieGroupMode::Bisection) {
     onBisectionOutcome(view.url.host(), report.testedGroup,
@@ -807,14 +753,14 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
     if (report.decision.causedByCookies) {
       // Evidence is gathered only for the verdicts a user would ask about —
       // the ones that marked (or would have marked) cookies. It reads the
-      // two snapshots the decision compared (every browser view carries
-      // one, in either DomMode) and the retained HTML; no node tree.
+      // two snapshots the decision compared and the retained HTML; no node
+      // tree.
       obs::ScopedTimer evidenceSpan(obs::Timer::AuditEvidence);
       ExplainOptions explainOptions;
       explainOptions.decision = config_.decision;
       DifferenceExplanation evidence;
       evidence.decision = report.decision;
-      collectDifferenceEvidence({*view.snapshot, view.containerHtml},
+      collectDifferenceEvidence({*regular, view.containerHtml},
                                 {*hidden.snapshot, hidden.html},
                                 explainOptions, evidenceScratch_, evidence);
       record.evidenceStructureRegular =

@@ -135,6 +135,13 @@ class ForcumEngine {
   ForcumStepReport onPageView(const browser::PageView& view);
 
   bool isTrainingActive(const std::string& host) const;
+  // Whether a view of `host` loaded now may reach a regular-vs-hidden
+  // comparison: training is active and the jar already holds a persistent
+  // cookie for the host, so the container request can carry one (a first
+  // view carries none, and a warm knowledge import turns training off
+  // before the step). A guess made before the visit: a view it misses gets
+  // its snapshot built when the comparison needs it (Browser::snapshotOf).
+  bool mayCompare(const std::string& host) const;
   // Manual restart ("turned on ... manually by a user if she wants to
   // continue the training process").
   void resumeTraining(const std::string& host);
@@ -210,9 +217,11 @@ class ForcumEngine {
                           bool causedByCookies);
   // Provenance attribution: taint-nominate the responsible cookie(s) from
   // the difference rows, confirm each nomination with a targeted
-  // single-cookie strip, and mark only what confirms. Fills the report's
-  // attribution fields and report.newlyMarked.
+  // single-cookie strip, and mark only what confirms. `regular` is the
+  // view's snapshot the decision read. Fills the report's attribution
+  // fields and report.newlyMarked.
   void runAttribution(const browser::PageView& view,
+                      const dom::TreeSnapshot& regular,
                       const browser::HiddenFetchResult& hidden,
                       SiteState& state, ForcumStepReport& report);
 

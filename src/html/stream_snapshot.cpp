@@ -274,6 +274,22 @@ StreamParseResult StreamingSnapshotBuilder::build(
   return result;
 }
 
+StreamPageInfo StreamingSnapshotBuilder::scanPageInfo(
+    std::string_view htmlText) {
+  StreamPageInfo page;
+  page_ = &page;
+  sawBase_ = false;
+  tokenizer_.reset(htmlText);
+  while (tokenizer_.next(token_)) {
+    if (token_.type != TokenType::StartTag) continue;
+    const TagInfo& info = tagInfo(localSymbol(token_.name), token_.name);
+    // processStartTag returns before recordReferences for html/head/body.
+    if (info.structural == 0) recordReferences(info);
+  }
+  page_ = nullptr;
+  return page;
+}
+
 void StreamingSnapshotBuilder::scanText(std::string_view htmlText,
                                         std::uint32_t lastRow) {
   static const ParseOptions kDefaults;

@@ -25,8 +25,8 @@
 // TreeSnapshot::finish() pass the reference constructor uses. The
 // differential fuzz suite (tests/snapshot_differential_test.cpp) asserts
 // the two producers' arrays are byte-identical across seeded random and
-// mutated documents; the dom::Node path stays available behind
-// DecisionConfig::useSnapshotFastPath as the testing reference.
+// mutated documents; the dom::Node path (DomMode::Reference) stays as the
+// testing reference.
 #pragma once
 
 #include <array>
@@ -80,6 +80,13 @@ class StreamingSnapshotBuilder {
                           const ParseOptions& options = {},
                           const provenance::ProvenanceMap* provenance =
                               nullptr);
+
+  // The page info `build(htmlText)` would return, without building a
+  // snapshot: the same tokenizer, tag table and reference filter, called
+  // for every non-structural start tag exactly where the build calls it,
+  // with no rows, text buffers, hashes or finish pass. For page views no
+  // comparison will read (Browser::visit without a snapshot).
+  StreamPageInfo scanPageInfo(std::string_view htmlText);
 
   // Runs the same pass (default ParseOptions) over `htmlText` only until
   // the content of every text row up to `lastRow` is final, into rows the

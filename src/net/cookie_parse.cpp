@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 
 #include "util/strings.h"
 
@@ -59,13 +60,38 @@ bool parseInteger(std::string_view text, std::int64_t& value) {
   return ec == std::errc() && ptr == text.data() + text.size();
 }
 
+// Date tokens are the runs between ',', '-' and the ASCII whitespace
+// util::trim strips.
+bool isDateSeparator(char ch) {
+  return ch == ',' || ch == '-' || ch == ' ' || ch == '\t' || ch == '\r' ||
+         ch == '\n' || ch == '\f' || ch == '\v';
+}
+
+// sscanf("%d:%d:%d") over `token`, which needs a NUL-terminated copy: on
+// the stack for any real time token, on the heap only for a longer one.
+// sscanf itself keeps every accept/reject decision ("+1:+2:+3", hours that
+// overflow an int).
+bool scanTime(std::string_view token, int& hour, int& minute, int& second) {
+  char stack[64];
+  std::string heap;
+  const char* text = stack;
+  if (token.size() < sizeof(stack)) {
+    std::memcpy(stack, token.data(), token.size());
+    stack[token.size()] = '\0';
+  } else {
+    heap.assign(token);
+    text = heap.c_str();
+  }
+  return std::sscanf(text, "%d:%d:%d", &hour, &minute, &second) == 3;
+}
+
 }  // namespace
 
 std::optional<SetCookie> parseSetCookie(std::string_view header) {
-  const std::vector<std::string> parts = split(header, ';');
-  if (parts.empty()) return std::nullopt;
-
-  const std::string_view nameValue = trim(parts[0]);
+  // Every piece is a view into the header: the name=value pair up to the
+  // first ';', then one attribute per ';'-separated piece.
+  std::size_t end = header.find(';');
+  const std::string_view nameValue = trim(header.substr(0, end));
   const std::size_t equals = nameValue.find('=');
   if (equals == std::string_view::npos || equals == 0) return std::nullopt;
 
@@ -74,8 +100,11 @@ std::optional<SetCookie> parseSetCookie(std::string_view header) {
   cookie.value = std::string(trim(nameValue.substr(equals + 1)));
   if (cookie.name.empty()) return std::nullopt;
 
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    const std::string_view attribute = trim(parts[i]);
+  while (end != std::string_view::npos) {
+    const std::size_t start = end + 1;
+    end = header.find(';', start);
+    const std::string_view attribute = trim(header.substr(
+        start, end == std::string_view::npos ? end : end - start));
     if (attribute.empty()) continue;
     const std::size_t attrEquals = attribute.find('=');
     const std::string_view attrName =
@@ -86,9 +115,9 @@ std::optional<SetCookie> parseSetCookie(std::string_view header) {
             : trim(attribute.substr(attrEquals + 1));
 
     if (equalsIgnoreCase(attrName, "domain")) {
-      std::string domain = toLowerAscii(attrValue);
-      if (!domain.empty() && domain[0] == '.') domain.erase(0, 1);
-      if (!domain.empty()) cookie.domain = domain;
+      std::string_view domain = attrValue;
+      if (!domain.empty() && domain[0] == '.') domain.remove_prefix(1);
+      if (!domain.empty()) cookie.domain = toLowerAscii(domain);
     } else if (equalsIgnoreCase(attrName, "path")) {
       if (!attrValue.empty() && attrValue[0] == '/') {
         cookie.path = std::string(attrValue);
@@ -143,17 +172,19 @@ std::optional<std::int64_t> parseHttpDate(std::string_view text) {
   std::optional<int> month;  // 1..12
   std::optional<std::int64_t> year;
 
-  std::string normalized(text);
-  for (char& ch : normalized) {
-    if (ch == ',' || ch == '-') ch = ' ';
-  }
-  for (const std::string& token : util::splitWhitespace(normalized)) {
-    if (!hour.has_value() && token.find(':') != std::string::npos) {
+  std::size_t next = 0;
+  while (true) {
+    while (next < text.size() && isDateSeparator(text[next])) ++next;
+    if (next == text.size()) break;
+    const std::size_t start = next;
+    while (next < text.size() && !isDateSeparator(text[next])) ++next;
+    const std::string_view token = text.substr(start, next - start);
+    if (!hour.has_value() && token.find(':') != std::string_view::npos) {
       int h = 0;
       int m = 0;
       int s = 0;
-      if (std::sscanf(token.c_str(), "%d:%d:%d", &h, &m, &s) == 3 &&
-          h >= 0 && h <= 23 && m >= 0 && m <= 59 && s >= 0 && s <= 59) {
+      if (scanTime(token, h, m, s) && h >= 0 && h <= 23 && m >= 0 &&
+          m <= 59 && s >= 0 && s <= 59) {
         hour = h;
         minute = m;
         second = s;
@@ -161,10 +192,8 @@ std::optional<std::int64_t> parseHttpDate(std::string_view text) {
       continue;
     }
     if (!month.has_value() && token.size() >= 3) {
-      const std::string prefix = toLowerAscii(
-          std::string_view(token).substr(0, 3));
       for (std::size_t index = 0; index < kMonthNames.size(); ++index) {
-        if (prefix == kMonthNames[index]) {
+        if (equalsIgnoreCase(token.substr(0, 3), kMonthNames[index])) {
           month = static_cast<int>(index) + 1;
           break;
         }

@@ -34,6 +34,7 @@
 #include "knowledge/knowledge_base.h"
 #include "knowledge/knowledge_store.h"
 #include "knowledge/site_knowledge.h"
+#include "obs/audit.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "server/generator.h"
@@ -541,6 +542,82 @@ TEST(KnowledgeReprobation, NovelCookieDemotesInsteadOfServingStale) {
               core::KnowledgeOutcome::Warm);
   }
   EXPECT_EQ(warmMetrics.snapshot().counter(obs::Counter::HiddenFetches), 0u);
+}
+
+// A warm session whose training resumes mid-session. The crowd's entry
+// warms the visitor on its first view, so the views after it expect no
+// comparison and only scan their pages, until the site starts setting a
+// cookie the crowd never saw: that view resumes training and its step
+// decides on a snapshot built on demand. Jar, state and audit bytes equal
+// the same session in DomMode::Reference, where every view builds its
+// snapshot at visit time.
+TEST(KnowledgeReprobation, ResumedTrainingDecidesOnAnOnDemandSnapshot) {
+  const auto oldSpec = server::makeGenericSpec("T", kDiffHost, 7);
+  const TrainedUser veteran = trainUser(oldSpec, nullptr);
+  KnowledgeBase shared;
+  shared.mergeSite(kDiffHost, veteran.picker->exportKnowledge(kDiffHost));
+  ASSERT_EQ(shared.warmSiteCount(), 1u);
+  auto newSpec = oldSpec;
+  newSpec.signUpWall = true;  // a cookie ("acctid") the crowd never saw
+  constexpr int kChangeAtView = 4;
+
+  struct Session {
+    std::string jar;
+    std::string state;
+    std::string audit;
+    core::KnowledgeOutcome outcome = core::KnowledgeOutcome::Unconsulted;
+    int onDemandDecisions = 0;  // decided on a view visited without snapshot
+    obs::MetricsSnapshot metrics;
+  };
+  const auto run = [&](browser::DomMode mode) {
+    SimWorld world;
+    world.addSite(oldSpec);
+    world.browser.setDomMode(mode);
+    core::CookiePickerConfig config = fastTrainingConfig();
+    config.sharedKnowledge = &shared;
+    core::CookiePicker picker(world.browser, config);
+    obs::MetricsRegistry metrics;
+    obs::AuditTrail audit;
+    Session session;
+    {
+      obs::ScopedObsSession scope(&metrics, &audit);
+      for (int view = 0; view < kDiffViews; ++view) {
+        if (view == kChangeAtView) world.addSite(newSpec);
+        const bool eager = picker.forcum().mayCompare(kDiffHost);
+        const core::ForcumStepReport report = picker.browse(
+            "http://" + std::string(kDiffHost) + "/page" +
+            std::to_string(view % oldSpec.pageCount));
+        if (!eager && report.hiddenRequestSent && !report.skipped) {
+          ++session.onDemandDecisions;
+        }
+      }
+    }
+    session.jar = world.browser.jar().serialize();
+    session.state = picker.saveState();
+    session.audit = audit.jsonl();
+    session.outcome = picker.knowledgeOutcome(kDiffHost);
+    session.metrics = metrics.snapshot();
+    return session;
+  };
+
+  const Session streaming = run(browser::DomMode::Streaming);
+  const Session reference = run(browser::DomMode::Reference);
+  EXPECT_EQ(streaming.outcome, core::KnowledgeOutcome::Warm);
+  EXPECT_EQ(streaming.onDemandDecisions, 1);
+  EXPECT_FALSE(streaming.audit.empty());
+  EXPECT_NE(streaming.jar.find("acctid"), std::string::npos);
+  // Every view runs one stream pass (a build or a scan) and every hidden
+  // copy a build; the view that resumed training added exactly one more.
+  const obs::MetricsSnapshot& metrics = streaming.metrics;
+  EXPECT_EQ(metrics.timer(obs::Timer::StreamBuild).count,
+            metrics.counter(obs::Counter::PagesVisited) +
+                metrics.counter(obs::Counter::HiddenFetches) + 1);
+
+  EXPECT_EQ(streaming.jar, reference.jar);
+  EXPECT_EQ(streaming.state, reference.state);
+  EXPECT_EQ(streaming.audit, reference.audit);
+  EXPECT_EQ(streaming.metrics.deterministicJson(),
+            reference.metrics.deterministicJson());
 }
 
 TEST(KnowledgeReprobation, EpochGuardHoldsUnderConcurrentDemoteAndMerge) {

@@ -7,7 +7,9 @@
 // except the text hashes — symbol names, subtree extents, levels, flags,
 // child spans, the comparison root and taint stamps — plus the
 // StreamPageInfo (base href and subresource references) into fnv1a64
-// hashes. Text hashes are an in-memory identity (util/text_hash.h) and are
+// hashes; the page info folded is the scan-only pass's
+// (StreamingSnapshotBuilder::scanPageInfo), asserted equal to the build's.
+// Text hashes are an in-memory identity (util/text_hash.h) and are
 // deliberately left out; their equality is pinned by the differential
 // suites instead. The goldens were computed by compiling this same test
 // against the tokenizer that copied every token into owned strings and the
@@ -82,12 +84,17 @@ class SnapshotFolder : public pin::PageVisitor {
         foldNumber(rows, snapshot.child(i, k));
       }
     }
-    fold(hashes.pageInfo, result.page.baseHref);
-    foldNumber(hashes.pageInfo, result.page.subresourceRefs.size());
-    for (const std::string& reference : result.page.subresourceRefs) {
+    const StreamPageInfo scanned = scanner_.scanPageInfo(html);
+    EXPECT_EQ(scanned.baseHref, result.page.baseHref);
+    EXPECT_EQ(scanned.subresourceRefs, result.page.subresourceRefs);
+    fold(hashes.pageInfo, scanned.baseHref);
+    foldNumber(hashes.pageInfo, scanned.subresourceRefs.size());
+    for (const std::string& reference : scanned.subresourceRefs) {
       fold(hashes.pageInfo, reference);
     }
   }
+
+  StreamingSnapshotBuilder scanner_;
 };
 
 struct Golden {

@@ -21,7 +21,9 @@
 # and ASan trees with COOKIEPICKER_FUZZ=8, which scales the
 # generated-document corpus eightfold (every document byte-compared across
 # the streaming and reference pipelines, with mutation rounds, and every
-# generated pair's audit evidence compared with the node-tree oracle). The
+# generated pair's audit evidence compared with the node-tree oracle), and
+# the Set-Cookie/HTTP-date parser differential (in-place parsing against
+# the allocating oracle over seeded random headers) eightfold too. The
 # serve-soak configs re-run the service-tier suites (event loop,
 # real-socket e2e parity, and the flapping-origin verdict soak) in the
 # TSan and ASan trees with
@@ -127,12 +129,14 @@ for config in "${CONFIGS[@]}"; do
       # the shared interners. The HTML torture suite rides along, so the
       # tokenizer's view scratch sees the hostile corpus too, and so does
       # the audit-evidence differential (snapshot evidence against the
-      # node-tree oracle on the rosters and the scaled fuzz corpus).
+      # node-tree oracle on the rosters and the scaled fuzz corpus) and the
+      # cookie-parser differential (string_view parsing against the
+      # allocating oracle).
       sanitize="thread"
       fuzz_env="8"
-      test_filter="SnapshotDifferential|EvidenceDifferential|Torture\.|BrokenFragment"
+      test_filter="SnapshotDifferential|EvidenceDifferential|CookieParseDifferential|Torture\.|BrokenFragment"
       soak_target="snapshot_differential_test evidence_differential_test
-                   html_torture_test"
+                   cookie_parse_differential_test html_torture_test"
       build_dir="$ROOT/build-check-thread"
       ;;
     fuzz-address)
@@ -140,12 +144,13 @@ for config in "${CONFIGS[@]}"; do
       # (subtree extents, merged text rows, structural flags) must never
       # write out of bounds on hostile shapes, and no token view may outlive
       # the tokenizer scratch it points into (HTML torture suite and the
-      # evidence differential's text scans included).
+      # evidence differential's text scans included), and no Set-Cookie
+      # piece or date token may read past the header it views.
       sanitize="address"
       fuzz_env="8"
-      test_filter="SnapshotDifferential|EvidenceDifferential|Torture\.|BrokenFragment"
+      test_filter="SnapshotDifferential|EvidenceDifferential|CookieParseDifferential|Torture\.|BrokenFragment"
       soak_target="snapshot_differential_test evidence_differential_test
-                   html_torture_test"
+                   cookie_parse_differential_test html_torture_test"
       build_dir="$ROOT/build-check-address"
       ;;
     serve-thread)
