@@ -51,11 +51,8 @@ const FaultRule* HostFaultState::evaluate(const FaultPlan& plan,
 }
 
 std::string corruptHeaderValue(std::string_view value, util::Pcg32& rng) {
+  if (value.empty()) return std::string(1, '\x01');
   std::string out(value);
-  if (out.empty()) {
-    out = "\x01";
-    return out;
-  }
   const std::uint32_t mutations =
       1 + rng.uniform(0, static_cast<std::uint32_t>(out.size() > 4 ? 3 : 1));
   for (std::uint32_t m = 0; m < mutations; ++m) {

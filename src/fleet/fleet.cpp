@@ -162,7 +162,7 @@ HostResult TrainingFleet::runHostSession(const server::SiteSpec& spec) const {
     result.auditJsonl = sessionAudit.jsonl();
   }
   if (shard != nullptr) {
-    // Seal outside the obs scope: finalize's own compaction counters must
+    // Seal outside the obs scope: finalize's own append counters must
     // not land in the session snapshot (a recovered host never reruns
     // finalize, so they could not be reproduced on recovery).
     store::SessionMeta meta;

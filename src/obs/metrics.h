@@ -66,7 +66,7 @@ enum class Counter : std::uint8_t {
   // keep kFirstStoreCounter below in sync) ---
   StoreAppends,            // WAL records appended
   StoreAppendBytes,        // framed WAL bytes written
-  StoreCompactions,        // snapshots compacted (periodic + finalize)
+  StoreCompactions,        // snapshots compacted on the append cadence
   StoreSnapshotBytes,      // snapshot bytes published
   StoreSnapshotsLoaded,    // valid snapshots read during recovery
   StoreRecordsRecovered,   // records applied during recovery replay

@@ -381,6 +381,9 @@ void HostStore::resumeSession(const std::string& fingerprint) {
         CP_LOG_WARN << "store: cannot reopen WAL " << walPath_;
       }
       writable_ = wal_ != nullptr;
+      // The kept records count toward the cadence: a shard resumed by many
+      // short runs still compacts once its WAL holds compactEveryAppends.
+      sinceCompact_ = replayStats_.walRecords;
     }
   } else {
     resetWalLocked();
@@ -526,14 +529,20 @@ void HostStore::finalize(const SessionMeta& meta, std::string_view stateBlob,
   // complete=false and the host simply reruns. The five appends are one
   // transaction — cadence compaction is suspended across them (it would
   // snapshot a half-sealed mirror and reset the WAL out from under the
-  // blobs already appended); the explicit compact below seals the shard.
+  // blobs already appended).
   appendLocked(RecordType::StateBlob, stateBlob, /*allowCompact=*/false);
   appendLocked(RecordType::JarBlob, jarBlob, /*allowCompact=*/false);
   appendLocked(RecordType::MetricsBlock, metricsText, /*allowCompact=*/false);
   appendLocked(RecordType::AuditBlock, auditJsonl, /*allowCompact=*/false);
   appendLocked(RecordType::SessionMeta, encodeSessionMeta(sealed),
                /*allowCompact=*/false);
-  compactLocked();
+  // The WAL (after any cadence snapshot) holds the whole sealed session, so
+  // one barrier makes it durable; a snapshot would only copy the same
+  // records again. An append above may have been a crash point.
+  if (parent_->crashed()) return;
+  if (std::fflush(wal_) != 0 || ::fdatasync(fileno(wal_)) != 0) {
+    CP_LOG_WARN << "store: WAL sync failed for " << host_;
+  }
 }
 
 StateStore::StateStore(StoreConfig config) : config_(std::move(config)) {}

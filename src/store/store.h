@@ -6,7 +6,10 @@
 //   <shard>.snap       newest compacted snapshot (same framing, snap magic)
 //   <shard>.snap.tmp   in-flight snapshot; a leftover one is crash residue
 // Hosts shard cleanly because fleet sessions are per-host and share nothing,
-// so shards never need cross-file transactions.
+// so shards never need cross-file transactions. Sealing a session writes no
+// snapshot: finalize() appends the result records and makes the WAL durable
+// with one fdatasync, so a sealed fleet shard is just its .wal, and a .snap
+// appears only once the append cadence has compacted the shard.
 //
 // The recovery invariant everything here serves: after a crash at ANY
 // injected crash point, replaying the newest valid snapshot plus the WAL
@@ -57,12 +60,13 @@ namespace cookiepicker::store {
 
 struct StoreConfig {
   std::string directory;
-  // Compact the shard (snapshot + WAL truncate) every N appends; 0 keeps
-  // the WAL growing until finalize().
+  // Compact the shard (snapshot + WAL truncate) once its WAL holds N
+  // records; 0 never compacts.
   std::uint64_t compactEveryAppends = 256;
-  // fsync after every append (snapshots always fsync before publishing;
-  // the WAL default is flush-only, which the simulated-crash model — the
-  // store's own writes, not the kernel, drop the tail — makes safe).
+  // fsync after every append (snapshots always fsync before publishing, and
+  // finalize() always fdatasyncs the WAL; between seals the WAL default is
+  // flush-only, which the simulated-crash model — the store's own writes,
+  // not the kernel, drop the tail — makes safe).
   bool fsyncEveryAppend = false;
 };
 
@@ -172,13 +176,16 @@ class HostStore final : public StateSink {
   // host it (re)runs.
   void beginSession(const std::string& fingerprint);
   // Resumes appending after the recovered state: truncates the WAL to its
-  // valid prefix (amputating any torn tail) and continues the sequence.
+  // valid prefix (amputating any torn tail) and continues the sequence. The
+  // kept WAL records count toward the compaction cadence.
   // Caller is responsible for seeding the live picker from recovered()
   // first. Used by the single-session CLI paths.
   void resumeSession(const std::string& fingerprint);
 
-  // Seals the session: logs SessionMeta plus the exact state/jar/metrics/
-  // audit bytes, then compacts so the snapshot alone carries everything.
+  // Seals the session: logs the exact state/jar/metrics/audit bytes, then
+  // SessionMeta, and makes them durable with one fdatasync on the WAL
+  // before returning. Writes no snapshot: the WAL (after any cadence
+  // snapshot) already replays as the complete session.
   void finalize(const SessionMeta& meta, std::string_view stateBlob,
                 std::string_view jarBlob, std::string_view metricsText,
                 std::string_view auditJsonl);
@@ -217,7 +224,7 @@ class HostStore final : public StateSink {
   ReplayedState mirror_;
   std::uint64_t appendCount_ = 0;   // appends since open (crash-point index)
   std::uint64_t compactCount_ = 0;  // compactions since open
-  std::uint64_t sinceCompact_ = 0;  // appends since last compaction
+  std::uint64_t sinceCompact_ = 0;  // WAL records since last compaction
   std::string frameScratch_;        // reused append frame buffer (under lock)
 };
 

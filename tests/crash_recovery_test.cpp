@@ -11,6 +11,7 @@
 // that sweep in the ASan tree).
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -53,9 +54,11 @@ store::StoreConfig storeConfigFor(const fs::path& dir) {
   store::StoreConfig config;
   config.directory = dir.string();
   // Compact aggressively so crash points also land inside the
-  // snapshot-publish window, not just between appends. Sessions here log
-  // ~17 appends per shard, so 8 yields a couple of compactions each —
-  // enough for mid-rename crash ordinals 1-3 to usually fire.
+  // snapshot-publish window, not just between appends. Sealing a session
+  // never compacts, so the cadence is the only way a shard reaches a
+  // rename: sessions here log ~17 appends per shard, and 8 yields a couple
+  // of cadence compactions each — enough for mid-rename crash ordinals 1-3
+  // to fire on some seeds.
   config.compactEveryAppends = 8;
   return config;
 }
@@ -180,6 +183,7 @@ TEST_F(CrashRecoveryTest, KilledRunsRecoverToReferenceBytes) {
   constexpr std::uint64_t kMaxAppends = 20;
   const int seeds = chaosEnabled() ? 200 : 24;
   int firedCrashes = 0;
+  std::map<faults::CrashMode, int> firedByMode;
   for (int seed = 0; seed < seeds; ++seed) {
     const fs::path runDir =
         dir_ / ("seed" + std::to_string(seed));
@@ -198,7 +202,10 @@ TEST_F(CrashRecoveryTest, KilledRunsRecoverToReferenceBytes) {
       runMeasurementFleet(roster, options);
       crashed = stateStore.crashed();
     }
-    if (crashed) ++firedCrashes;
+    if (crashed) {
+      ++firedCrashes;
+      ++firedByMode[schedule.points[0].mode];
+    }
 
     // Recovery run: a fresh "process" over the same directory, no crash
     // schedule, fresh network. Finished hosts return from their shards;
@@ -231,8 +238,14 @@ TEST_F(CrashRecoveryTest, KilledRunsRecoverToReferenceBytes) {
     fs::remove_all(runDir);
   }
   // The sweep is vacuous if no schedule ever fired; with kMaxAppends sized
-  // to the session, the vast majority must.
+  // to the session, the vast majority must. Each mode must fire too, or the
+  // sweep silently stops covering that crash point.
   EXPECT_GT(firedCrashes, seeds / 2);
+  for (const faults::CrashMode mode :
+       {faults::CrashMode::TornAppend, faults::CrashMode::KillAfterAppend,
+        faults::CrashMode::KillMidRename}) {
+    EXPECT_GE(firedByMode[mode], 1) << faults::crashModeName(mode);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -270,6 +271,9 @@ TEST_F(StoreTest, CompactionPreservesStateAndShrinksWal) {
   EXPECT_EQ(rec.jarLines.at("k0"), "line35");
 }
 
+// A seal is the WAL alone: finalize appends the result records and syncs
+// them, with no snapshot, temp file, rename or WAL reset, and both a reopen
+// and fsck see a complete session.
 TEST_F(StoreTest, FinalizeSealsExactBlobs) {
   SessionMeta meta;
   meta.complete = true;
@@ -285,14 +289,93 @@ TEST_F(StoreTest, FinalizeSealsExactBlobs) {
     shard->finalize(meta, stateBlob, "jar bytes", "c pages_visited 4\n",
                     "{\"seq\":1}\n");
   }
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"shop.example.wal"});
+
+  const FsckReport report = StateStore::fsck(dir_.string());
+  ASSERT_EQ(report.shards.size(), 1u);
+  EXPECT_TRUE(report.ok);
+  EXPECT_TRUE(report.shards[0].ok);
+  EXPECT_TRUE(report.shards[0].complete);
+  EXPECT_FALSE(report.shards[0].snapshotPresent);
+  // begin, the jar record, four blobs and the meta.
+  EXPECT_EQ(report.shards[0].walRecords, 7u);
+
   StateStore reopened(configWith());
-  const ReplayedState& rec = reopened.openHost("shop.example")->recovered();
+  HostStore* shard = reopened.openHost("shop.example");
+  const ReplayedState& rec = shard->recovered();
   EXPECT_TRUE(rec.meta.complete);
   EXPECT_EQ(rec.meta.fingerprint, "fp-seal");
   EXPECT_EQ(rec.stateBlob, stateBlob);
   EXPECT_EQ(rec.jarBlob, "jar bytes");
   EXPECT_EQ(rec.metricsText, "c pages_visited 4\n");
   EXPECT_EQ(rec.auditJsonl, "{\"seq\":1}\n");
+  EXPECT_EQ(rec.jarLines.at("k1"), "line1");
+  EXPECT_FALSE(shard->replayStats().snapshotLoaded);
+  EXPECT_FALSE(shard->replayStats().tornTail);
+  EXPECT_FALSE(shard->replayStats().corrupt);
+}
+
+// The single-session CLI flow across restarts: each run resumes the sealed
+// shard, appends and seals again. Seals never compact, but the WAL records a
+// resumed shard keeps count toward the cadence, so a shard sealed by many
+// short runs still compacts, and every reopen replays the newest seal —
+// or, for a run that died before sealing, an unsealed session.
+TEST_F(StoreTest, ResumedSealCyclesCompactOnCadenceAndReplayTheNewestSeal) {
+  constexpr int kCycles = 6;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    const std::string tag = std::to_string(cycle);
+    {
+      StateStore stateStore(configWith(/*compactEvery=*/8));
+      HostStore* shard = stateStore.openHost("session");
+      if (cycle == 0) {
+        shard->beginSession("fp1");
+      } else {
+        ASSERT_TRUE(shard->recovered().meta.complete) << cycle;
+        shard->resumeSession("fp1");
+      }
+      // Begin, one jar record and the five finalize appends: 7 records a
+      // run, so no single run reaches the cadence of 8 on its own.
+      shard->append(RecordType::JarUpsert, "k" + tag + "\tline" + tag);
+      SessionMeta meta;
+      meta.pagesVisited = cycle;
+      meta.fingerprint = "fp1";
+      shard->finalize(meta, "state-" + tag, "jar-" + tag, "metrics-" + tag,
+                      "audit-" + tag);
+    }
+    StateStore reopened(configWith(8));
+    HostStore* shard = reopened.openHost("session");
+    const ReplayedState& rec = shard->recovered();
+    ASSERT_TRUE(rec.meta.complete) << cycle;
+    EXPECT_EQ(rec.meta.pagesVisited, cycle);
+    EXPECT_EQ(rec.stateBlob, "state-" + tag);
+    EXPECT_EQ(rec.jarBlob, "jar-" + tag);
+    EXPECT_EQ(rec.metricsText, "metrics-" + tag);
+    EXPECT_EQ(rec.auditJsonl, "audit-" + tag);
+    EXPECT_EQ(rec.jarLines.size(), static_cast<std::size_t>(cycle + 1));
+    EXPECT_FALSE(shard->replayStats().corrupt);
+    // The cadence bounds the WAL: it never holds more than one run's
+    // records past the cadence.
+    EXPECT_LT(shard->replayStats().walRecords, 8u + 7u) << cycle;
+  }
+  // Only a cadence compaction writes a snapshot.
+  EXPECT_TRUE(fs::exists(dir_ / "session.snap"));
+
+  // A resumed run that dies before sealing replays unsealed: its begin
+  // record un-seals the newest seal, in the WAL or in a cadence snapshot.
+  {
+    StateStore stateStore(configWith(8));
+    HostStore* shard = stateStore.openHost("session");
+    shard->resumeSession("fp1");
+    shard->append(RecordType::JarUpsert, "late\tline");
+  }
+  StateStore reopened(configWith(8));
+  const ReplayedState& rec = reopened.openHost("session")->recovered();
+  EXPECT_FALSE(rec.meta.complete);
+  EXPECT_EQ(rec.jarLines.at("late"), "line");
 }
 
 TEST_F(StoreTest, BeginSessionResetsPriorState) {
@@ -453,21 +536,21 @@ TEST_F(StoreTest, KillMidRenameFallsBackToWal) {
   }
 }
 
-// Regression: finalize's five appends are one transaction. With a compact
-// cadence small enough that the append counter rolls over *inside*
-// finalize, a cadence compaction used to snapshot the half-sealed mirror
-// (dropping the blobs) and reset the WAL (destroying their records) — so a
-// crash before the sealing compact published left a shard that replayed as
-// complete with an empty state blob. Now the cadence is suspended across
-// finalize, and snapshots persist any mirrored blob regardless of seal.
-TEST_F(StoreTest, MidFinalizeCompactionCadenceKeepsSealedBlobs) {
+// Finalize's five appends are one transaction. With a compact cadence small
+// enough that the append counter rolls over *inside* finalize, a cadence
+// compaction there would snapshot the half-sealed mirror (without the meta)
+// and reset the WAL, destroying the records of the blobs already appended.
+// The cadence is suspended across finalize and the seal compacts nothing,
+// so no compaction runs at all (the mid-rename crash point on the first
+// one never fires) and the WAL carries the whole sealed transaction.
+TEST_F(StoreTest, CadenceBoundaryInsideFinalizeKeepsTheSealInTheWal) {
   SessionMeta meta;
   meta.pagesVisited = 2;
   {
     StateStore stateStore(configWith(/*compactEvery=*/4));
     faults::CrashSchedule schedule;
     schedule.points.push_back({"shop.example",
-                               faults::CrashMode::KillMidRename, 2});
+                               faults::CrashMode::KillMidRename, 1});
     stateStore.setCrashSchedule(schedule);
     HostStore* shard = stateStore.openHost("shop.example");
     shard->beginSession("fp1");                              // append 1
@@ -476,12 +559,14 @@ TEST_F(StoreTest, MidFinalizeCompactionCadenceKeepsSealedBlobs) {
     // Appends 4..8: the cadence boundary lands mid-finalize.
     shard->finalize(meta, "the-state", "the-jar", "the-metrics",
                     "the-audit");
+    EXPECT_FALSE(stateStore.crashed());
   }
+  EXPECT_FALSE(fs::exists(dir_ / "shop.example.snap"));
+  EXPECT_FALSE(fs::exists(dir_ / "shop.example.snap.tmp"));
   StateStore reopened(configWith(4));
   const ReplayedState& rec = reopened.openHost("shop.example")->recovered();
-  // Whether or not the simulated crash interrupted the sealing compact, a
-  // shard that replays as complete must carry the exact sealed blobs — the
-  // fleet serves them verbatim as the recovered session result.
+  // A shard that replays as complete must carry the exact sealed blobs —
+  // the fleet serves them verbatim as the recovered session result.
   ASSERT_TRUE(rec.meta.complete);
   EXPECT_EQ(rec.stateBlob, "the-state");
   EXPECT_EQ(rec.jarBlob, "the-jar");
