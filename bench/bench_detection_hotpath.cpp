@@ -24,6 +24,7 @@
 #include "browser/browser.h"
 #include "core/decision.h"
 #include "core/explain.h"
+#include "core/node_detection.h"
 #include "dom/interner.h"
 #include "dom/snapshot.h"
 #include "html/parser.h"
@@ -87,18 +88,16 @@ std::vector<PagePair> buildPairs(const std::vector<server::SiteSpec>& roster,
     util::SimClock clock;
     browser::Browser browser(network, clock,
                              cookies::CookiePolicy::recommended(), seed);
-    // Reference mode: the bench needs the node trees to time the reference
-    // loops against (the streaming pipeline is timed from the raw HTML).
-    browser.setDomMode(browser::DomMode::Reference);
     browser.visit("http://" + spec.domain + "/page0");
     browser.visit("http://" + spec.domain + "/page1");
     browser::PageView view = browser.visit("http://" + spec.domain + "/page0");
     browser::HiddenFetchResult hidden = browser.hiddenFetch(
         view, [](const cookies::CookieRecord&) { return true; });
-    if (view.document == nullptr || hidden.document == nullptr) continue;
+    // The reference loops need node trees: parse the retained HTML (the
+    // streaming pipeline is timed from the raw HTML).
     PagePair pair;
-    pair.regular = std::move(view.document);
-    pair.hidden = std::move(hidden.document);
+    pair.regular = html::parseHtml(view.containerHtml);
+    pair.hidden = html::parseHtml(hidden.html);
     pair.regularSnapshot = std::move(view.snapshot);
     pair.hiddenSnapshot = std::move(hidden.snapshot);
     pair.regularHtml = std::move(view.containerHtml);
@@ -222,7 +221,7 @@ struct RosterReport {
   double storeRatio = 0.0;
   double snapshotBuildUsPerDoc = 0.0;
   // End-to-end page pipeline (raw HTML → detection-ready snapshot), in
-  // pages/sec: the reference parseHtml + TreeSnapshot(Node) pass vs the
+  // pages/sec: the reference parseHtml + flattenTree pass vs the
   // streaming tokenizer→snapshot builder.
   LoopResult parseReference;
   LoopResult stream;
@@ -388,8 +387,8 @@ RosterReport benchRoster(const std::string& name,
   const util::StopWatch buildWatch;
   for (int rep = 0; rep < kBuildReps; ++rep) {
     for (const PagePair& pair : pairs) {
-      dom::TreeSnapshot regular(*pair.regular);
-      dom::TreeSnapshot hidden(*pair.hidden);
+      const dom::TreeSnapshot regular = dom::flattenTree(*pair.regular);
+      const dom::TreeSnapshot hidden = dom::flattenTree(*pair.hidden);
       (void)regular;
       (void)hidden;
     }
@@ -410,7 +409,7 @@ RosterReport benchRoster(const std::string& name,
   html::StreamingSnapshotBuilder builder;
   for (const std::string* html : documents) {
     const auto parsed = html::parseHtml(*html);
-    const dom::TreeSnapshot reference(*parsed);
+    const dom::TreeSnapshot reference = dom::flattenTree(*parsed);
     const html::StreamParseResult streamed = builder.build(*html);
     bool equal = reference.nodeCount() == streamed.snapshot->nodeCount();
     for (std::uint32_t i = 0; equal && i < reference.nodeCount(); ++i) {
@@ -437,7 +436,7 @@ RosterReport benchRoster(const std::string& name,
   const auto runParse = [&] {
     for (const std::string* html : documents) {
       const auto parsed = html::parseHtml(*html);
-      const dom::TreeSnapshot snapshot(*parsed);
+      const dom::TreeSnapshot snapshot = dom::flattenTree(*parsed);
       (void)snapshot;
     }
   };

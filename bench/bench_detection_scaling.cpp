@@ -12,6 +12,7 @@
 #include "baseline/tree_distance.h"
 #include "core/cvce.h"
 #include "core/decision.h"
+#include "core/node_detection.h"
 #include "core/rstm.h"
 #include "core/stm.h"
 #include "html/parser.h"

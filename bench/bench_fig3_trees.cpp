@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "baseline/tree_distance.h"
+#include "core/node_detection.h"
 #include "core/rstm.h"
 #include "core/stm.h"
 #include "dom/builder.h"

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench_support.h"
+#include "core/node_detection.h"
 #include "core/rstm.h"
 #include "core/stm.h"
 #include "html/parser.h"

@@ -10,6 +10,7 @@
 
 #include "core/cvce.h"
 #include "core/decision.h"
+#include "core/node_detection.h"
 #include "core/rstm.h"
 #include "html/parser.h"
 #include "server/behaviors.h"

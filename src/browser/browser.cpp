@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <set>
 
-#include "html/parser.h"
 #include "obs/recorder.h"
 #include "util/log.h"
 
@@ -19,20 +18,6 @@ ThinkTimeModel::ThinkTimeModel(double medianSeconds, double sigma,
 
 double ThinkTimeModel::sampleMs(util::Pcg32& rng) const {
   return std::max(floorMs_, rng.logNormal(mu_, sigma_));
-}
-
-net::RetrySpec toRetrySpec(const RetryPolicy& policy,
-                           std::uint64_t retriesUsed) {
-  net::RetrySpec spec;
-  spec.maxAttempts = policy.maxAttempts;
-  spec.initialBackoffMs = policy.initialBackoffMs;
-  spec.backoffMultiplier = policy.backoffMultiplier;
-  spec.maxBackoffMs = policy.maxBackoffMs;
-  spec.jitterFraction = policy.jitterFraction;
-  spec.retryBudget = retriesUsed >= policy.sessionRetryBudget
-                         ? 0
-                         : policy.sessionRetryBudget - retriesUsed;
-  return spec;
 }
 
 Browser::Browser(net::Transport& transport, util::SimClock& clock,
@@ -95,7 +80,7 @@ void Browser::storeResponseCookies(const net::HttpResponse& response,
 }
 
 // The page info (the first <base href> and the raw references in preorder)
-// came from the stream pass or the node tree; only URL resolution is left.
+// came from the stream pass; only URL resolution is left.
 std::vector<net::Url> Browser::resolveSubresources(
     const html::StreamPageInfo& page, const net::Url& documentUrl) const {
   const net::Url baseUrl = page.baseHref.empty()
@@ -125,13 +110,7 @@ PageView Browser::visit(const std::string& url) {
   if (!parsed.has_value()) {
     PageView view;
     view.status = 0;
-    if (domMode_ == DomMode::Streaming) {
-      view.snapshot = streamBuilder_.build("").snapshot;
-    } else {
-      view.document = html::parseHtml("");
-      view.snapshot =
-          std::make_shared<const dom::TreeSnapshot>(*view.document);
-    }
+    view.snapshot = streamBuilder_.build("").snapshot;
     return view;
   }
   return visit(*parsed);
@@ -166,34 +145,20 @@ PageView Browser::visit(const net::Url& url, bool buildSnapshot) {
   view.status = exchange.response.status;
   view.provenance = extractProvenance(exchange.response);
   view.containerHtml = std::move(exchange.response.body);
-  if (domMode_ == DomMode::Streaming) {
+  {
     // One pass: tokens flow straight into the snapshot arrays, and the
-    // subresource references fall out of the same walk. No node tree. A
-    // view nobody compares only needs the references.
+    // subresource references fall out of the same walk. A view nobody
+    // compares only needs the references.
     obs::ScopedTimer streamSpan(obs::Timer::StreamBuild);
     html::StreamParseResult streamed;
     if (buildSnapshot) {
-      streamed = streamBuilder_.build(view.containerHtml, {},
+      streamed = streamBuilder_.build(view.containerHtml,
                                       view.provenance.get());
     } else {
       streamed.page = streamBuilder_.scanPageInfo(view.containerHtml);
     }
     view.snapshot = std::move(streamed.snapshot);
     view.subresources = resolveSubresources(streamed.page, view.url);
-  } else {
-    {
-      obs::ScopedTimer parseSpan(obs::Timer::HtmlParse);
-      view.document = html::parseHtml(view.containerHtml);
-    }
-    // Flatten once at parse time; every detection step over this view reads
-    // the cached snapshot instead of re-walking the node tree.
-    {
-      obs::ScopedTimer snapshotSpan(obs::Timer::SnapshotBuild);
-      view.snapshot =
-          std::make_shared<const dom::TreeSnapshot>(*view.document);
-    }
-    view.subresources =
-        resolveSubresources(html::collectPageInfo(*view.document), view.url);
   }
 
   // Object requests (stylesheets, images, scripts).
@@ -228,11 +193,11 @@ std::shared_ptr<const dom::TreeSnapshot> Browser::snapshotOf(
     const PageView& view) {
   if (view.snapshot != nullptr) return view.snapshot;
   obs::ScopedTimer streamSpan(obs::Timer::StreamBuild);
-  return streamBuilder_.build(view.containerHtml, {}, view.provenance.get())
+  return streamBuilder_.build(view.containerHtml, view.provenance.get())
       .snapshot;
 }
 
-HiddenFetchPlan Browser::planHiddenFetch(
+Browser::HiddenFetchPlan Browser::planHiddenFetch(
     const PageView& view,
     const std::function<bool(const cookies::CookieRecord&)>&
         excludePersistent) {
@@ -291,22 +256,13 @@ HiddenFetchResult Browser::completeHiddenFetch(
   result.status = finalExchange.response.status;
   result.provenance = extractProvenance(finalExchange.response);
   result.html = std::move(finalExchange.response.body);
-  // Flattened by the same pipeline as the regular copy, per Section 3.2
-  // step three (the hidden copy fetches no objects, so its page info is
+  // Built by the same parser as the regular copy, per Section 3.2 step
+  // three (the hidden copy fetches no objects, so its page info is
   // discarded).
-  if (domMode_ == DomMode::Streaming) {
+  {
     obs::ScopedTimer streamSpan(obs::Timer::StreamBuild);
     result.snapshot =
-        streamBuilder_.build(result.html, {}, result.provenance.get())
-            .snapshot;
-  } else {
-    {
-      obs::ScopedTimer parseSpan(obs::Timer::HtmlParse);
-      result.document = html::parseHtml(result.html);
-    }
-    obs::ScopedTimer snapshotSpan(obs::Timer::SnapshotBuild);
-    result.snapshot =
-        std::make_shared<const dom::TreeSnapshot>(*result.document);
+        streamBuilder_.build(result.html, result.provenance.get()).snapshot;
   }
   // The hidden response triggers no object loads and its Set-Cookie headers
   // are deliberately ignored.
@@ -326,11 +282,12 @@ HiddenFetchResult Browser::hiddenFetch(
     // Socket mode: attempts and backoffs run on the transport's event-loop
     // timer wheel, in real time. The virtual clock still records the
     // measured wait so session timing stays coherent.
-    net::FetchOutcome outcome = transport_.dispatchWithRetry(
-        plan.request, toRetrySpec(hiddenRetryPolicy_, hiddenRetriesUsed_));
-    hiddenRetriesUsed_ += static_cast<std::uint64_t>(outcome.retriesUsed);
-    obs::count(obs::Counter::HiddenFetchRetries,
-               static_cast<std::uint64_t>(outcome.retriesUsed));
+    net::FetchOutcome outcome =
+        transport_.dispatchWithRetry(plan.request, hiddenRetry_);
+    const auto retries = static_cast<std::uint64_t>(outcome.retriesUsed);
+    hiddenRetriesUsed_ += retries;
+    hiddenRetry_.retryBudget -= std::min(retries, hiddenRetry_.retryBudget);
+    obs::count(obs::Counter::HiddenFetchRetries, retries);
     if (outcome.degraded) {
       if (outcome.budgetExhausted) {
         obs::count(obs::Counter::HiddenRetryBudgetExhausted);
@@ -351,9 +308,6 @@ HiddenFetchResult Browser::hiddenFetch(
   // exactly where the pre-retry code advanced it, so a clean fetch replays
   // byte-identically.
   net::HttpRequest& request = plan.request;
-  const net::RetrySpec spec =
-      toRetrySpec(hiddenRetryPolicy_, hiddenRetriesUsed_);
-  std::uint64_t budgetLeft = spec.retryBudget;
   net::Exchange exchange;
   std::string failureReason;
   int attempts = 0;
@@ -365,12 +319,12 @@ HiddenFetchResult Browser::hiddenFetch(
     ++attempts;
     failureReason = net::fetchFailureReason(exchange.response);
     if (failureReason.empty()) break;
-    if (attempt + 1 >= spec.maxAttempts) {
+    if (attempt + 1 >= hiddenRetry_.maxAttempts) {
       degraded = true;
       obs::count(obs::Counter::HiddenFetchExhausted);
       break;
     }
-    if (budgetLeft == 0) {
+    if (hiddenRetry_.retryBudget == 0) {
       degraded = true;
       obs::count(obs::Counter::HiddenRetryBudgetExhausted);
       obs::count(obs::Counter::HiddenFetchExhausted);
@@ -380,10 +334,10 @@ HiddenFetchResult Browser::hiddenFetch(
     clock_.advanceMs(static_cast<util::SimTimeMs>(exchange.latencyMs));
     // Jitter is drawn from the session RNG only when a retry actually
     // happens, so fault-free runs consume no extra draws.
-    const double backoff = net::backoffMs(spec, attempt, rng_);
+    const double backoff = net::backoffMs(hiddenRetry_, attempt, rng_);
     clock_.advanceMs(static_cast<util::SimTimeMs>(backoff));
     latencySoFarMs += backoff;
-    --budgetLeft;
+    --hiddenRetry_.retryBudget;
     ++hiddenRetriesUsed_;
     obs::count(obs::Counter::HiddenFetchRetries);
   }

@@ -1,11 +1,17 @@
 // Simulated web browser.
 //
 // Implements the page-load pipeline of Figure 1: the container-page request
-// (1)/(2), parsing into the regular DOM tree, and the follow-up object
-// requests — plus the extension hooks CookiePicker needs: the hidden request
-// (3)/(4) that refetches only the container page with a group of persistent
-// cookies stripped, and a pluggable filter that suppresses blocked cookies
-// on outgoing regular requests.
+// (1)/(2), parsing the container into its detection snapshot, and the
+// follow-up object requests — plus the extension hooks CookiePicker needs:
+// the hidden request (3)/(4) that refetches only the container page with a
+// group of persistent cookies stripped, and a pluggable filter that
+// suppresses blocked cookies on outgoing regular requests.
+//
+// Both copies of a page go through one parser, html::StreamingSnapshot-
+// Builder (Section 3.2): the tokenizer feeds the snapshot rows directly and
+// no node tree is ever built. A page view no comparison is expected to read
+// is only scanned for its subresources; snapshotOf builds its snapshot from
+// the retained HTML if a comparison needs it after all.
 #pragma once
 
 #include <functional>
@@ -23,24 +29,6 @@
 
 namespace cookiepicker::browser {
 
-// How page bodies become detection snapshots.
-//
-//  * Streaming (the default): the tokenizer feeds html::StreamingSnapshot-
-//    Builder directly — one pass, no dom::Node tree is ever built, and
-//    PageView::document / HiddenFetchResult::document stay null. A page
-//    view no comparison is expected to read is only scanned for its
-//    subresources; snapshotOf builds its snapshot from the retained HTML
-//    if a comparison needs it after all.
-//  * Reference: the original parseHtml + TreeSnapshot(Node) pipeline. Kept
-//    as the differential-testing and A/B-measurement twin; it always builds
-//    the snapshot. Both modes produce byte-identical snapshots and
-//    subresource lists (pinned by tests/snapshot_differential_test.cpp and
-//    the browser tests).
-enum class DomMode {
-  Streaming,
-  Reference,
-};
-
 // User think time between page views. Mah's empirical HTTP traffic model
 // [12] gives heavy-tailed think times with means above 10 seconds; we use a
 // log-normal fit with a floor. The FORCUM process runs inside this window.
@@ -57,31 +45,7 @@ class ThinkTimeModel {
   double floorMs_;
 };
 
-// How hiddenFetch responds to transport failures (connection drops,
-// timeouts, 5xx, truncated bodies). Backoff is exponential over the
-// *virtual* clock with deterministic jitter drawn from the session RNG, so
-// a faulty run replays byte-identically; a fault-free run draws nothing
-// extra and behaves exactly as if no retry layer existed.
-struct RetryPolicy {
-  int maxAttempts = 3;              // total tries, first attempt included
-  double initialBackoffMs = 400.0;  // wait before the first retry
-  double backoffMultiplier = 2.0;
-  double maxBackoffMs = 6400.0;
-  double jitterFraction = 0.25;     // backoff * (1 ± jitterFraction)
-  // Retries a session may spend across its lifetime. Once exhausted,
-  // hidden fetches degrade after their first failed attempt instead of
-  // hammering a host that is clearly down.
-  std::uint64_t sessionRetryBudget = 256;
-};
-
-// The one RetryPolicy → net::RetrySpec mapping, for a session that has
-// already spent `retriesUsed` of its budget. Both retry loops read it.
-net::RetrySpec toRetrySpec(const RetryPolicy& policy,
-                           std::uint64_t retriesUsed);
-
 struct HiddenFetchResult {
-  // Reference-mode only: the parsed node tree. Null in streaming mode.
-  std::unique_ptr<dom::Node> document;
   // Flattened detection view of the response body, always built at parse
   // time: a hidden copy exists only to be compared.
   std::shared_ptr<const dom::TreeSnapshot> snapshot;
@@ -101,24 +65,14 @@ struct HiddenFetchResult {
   int attempts = 0;
   // The final response body arrived shorter than its Content-Length.
   bool truncated = false;
-  // Every allowed attempt failed; `document` holds whatever the last
-  // attempt returned (an error page, a truncated body, or nothing) and
+  // Every allowed attempt failed; `snapshot` and `html` hold whatever the
+  // last attempt returned (an error page, a truncated body, or nothing) and
   // must not be compared against the regular copy.
   bool degraded = false;
   std::string degradedReason;  // e.g. "connection-drop", "http-503"
 
   // True when the result is safe to feed into a FORCUM comparison.
   bool usable() const { return status == 200 && !degraded; }
-};
-
-// The issue half of a hidden fetch: the request with the tested cookie
-// group stripped, ready to dispatch, plus the group's resolved keys. Split
-// out so callers (the socket service tier, the load bench) can issue many
-// hidden requests asynchronously and complete each one as its response
-// arrives; Browser::hiddenFetch composes the two halves synchronously.
-struct HiddenFetchPlan {
-  net::HttpRequest request;
-  std::vector<cookies::CookieKey> strippedCookies;
 };
 
 class Browser {
@@ -128,11 +82,10 @@ class Browser {
           std::uint64_t seed = 11);
 
   // Full page view: follows redirects (bounded), stores cookies per policy,
-  // parses the container into the regular DOM tree, fetches embedded
-  // objects. Advances the simulated clock by the load time. With
-  // `buildSnapshot` false, streaming mode only scans the container for its
-  // subresources and leaves PageView::snapshot null; reference mode always
-  // builds it.
+  // builds the container's snapshot, fetches embedded objects. Advances the
+  // simulated clock by the load time. With `buildSnapshot` false, the visit
+  // only scans the container for its subresources and leaves
+  // PageView::snapshot null.
   PageView visit(const net::Url& url, bool buildSnapshot = true);
   PageView visit(const std::string& url);
 
@@ -153,25 +106,6 @@ class Browser {
       const std::function<bool(const cookies::CookieRecord&)>&
           excludePersistent);
 
-  // Issue half of hiddenFetch: builds the cookie-stripped request without
-  // dispatching it. Resolves the tested group against the live jar, so call
-  // it at the clock time the fetch should see.
-  HiddenFetchPlan planHiddenFetch(
-      const PageView& view,
-      const std::function<bool(const cookies::CookieRecord&)>&
-          excludePersistent);
-
-  // Completion half: parses the final attempt's response into a
-  // HiddenFetchResult and advances the clock by that attempt's round trip
-  // (earlier attempts and backoffs must already be accounted —
-  // `latencySoFarMs` carries them into the result's total). Takes the
-  // exchange by value so the body moves into the result uncopied.
-  HiddenFetchResult completeHiddenFetch(HiddenFetchPlan plan,
-                                        net::Exchange finalExchange,
-                                        int attempts, double latencySoFarMs,
-                                        bool degraded,
-                                        std::string degradedReason);
-
   // Installed by CookiePicker once training ends: persistent cookies for
   // which the filter returns true are withheld from regular requests
   // ("no longer be transmitted to the corresponding Web site").
@@ -184,9 +118,6 @@ class Browser {
   // Simulates the user pausing between page views; advances the clock.
   double think();
 
-  DomMode domMode() const { return domMode_; }
-  void setDomMode(DomMode mode) { domMode_ = mode; }
-
   // Opt into per-cookie taint data: container and hidden requests carry
   // X-Want-Provenance, response maps are decoded onto PageView /
   // HiddenFetchResult, and streaming snapshots get taint-stamped rows.
@@ -195,11 +126,17 @@ class Browser {
   void setWantProvenance(bool want) { wantProvenance_ = want; }
   bool wantProvenance() const { return wantProvenance_; }
 
-  void setHiddenRetryPolicy(RetryPolicy policy) {
-    hiddenRetryPolicy_ = policy;
-  }
-  const RetryPolicy& hiddenRetryPolicy() const { return hiddenRetryPolicy_; }
-  // Retries spent so far against hiddenRetryPolicy().sessionRetryBudget.
+  // How hiddenFetch responds to transport failures (connection drops,
+  // timeouts, 5xx, truncated bodies). Backoff is exponential over the
+  // *virtual* clock with deterministic jitter drawn from the session RNG, so
+  // a faulty run replays byte-identically; a fault-free run draws nothing
+  // extra and behaves exactly as if no retry layer existed. `retryBudget`
+  // is what the session has left: both retry loops count it down as they
+  // spend retries, and once it is empty a hidden fetch degrades after its
+  // first failed attempt instead of hammering a host that is clearly down.
+  void setHiddenRetrySpec(const net::RetrySpec& spec) { hiddenRetry_ = spec; }
+  const net::RetrySpec& hiddenRetrySpec() const { return hiddenRetry_; }
+  // Retries spent so far across the session.
   std::uint64_t hiddenRetriesUsed() const { return hiddenRetriesUsed_; }
   // Hidden fetches this browser actually dispatched (a fetch retried after
   // a transport fault counts once) — unlike FORCUM's per-host
@@ -222,6 +159,32 @@ class Browser {
   static constexpr int kParallelConnections = 4;
 
  private:
+  // The issue half of a hidden fetch: the request with the tested cookie
+  // group stripped, ready to dispatch, plus the group's resolved keys.
+  struct HiddenFetchPlan {
+    net::HttpRequest request;
+    std::vector<cookies::CookieKey> strippedCookies;
+  };
+
+  // Builds the cookie-stripped request without dispatching it. Resolves
+  // the tested group against the live jar, so call it at the clock time the
+  // fetch should see.
+  HiddenFetchPlan planHiddenFetch(
+      const PageView& view,
+      const std::function<bool(const cookies::CookieRecord&)>&
+          excludePersistent);
+
+  // Completion half: builds the final attempt's snapshot into a
+  // HiddenFetchResult and advances the clock by that attempt's round trip
+  // (earlier attempts and backoffs must already be accounted —
+  // `latencySoFarMs` carries them into the result's total). Takes the
+  // exchange by value so the body moves into the result uncopied.
+  HiddenFetchResult completeHiddenFetch(HiddenFetchPlan plan,
+                                        net::Exchange finalExchange,
+                                        int attempts, double latencySoFarMs,
+                                        bool degraded,
+                                        std::string degradedReason);
+
   net::HttpRequest buildRequest(
       const net::Url& url, const net::Url& documentUrl,
       net::RequestKind kind = net::RequestKind::Container);
@@ -242,13 +205,12 @@ class Browser {
   util::Pcg32 rng_;
   ThinkTimeModel thinkTime_;
   std::function<bool(const cookies::CookieRecord&)> persistentSendFilter_;
-  DomMode domMode_ = DomMode::Streaming;
   bool wantProvenance_ = false;
   // Retained across page loads: its scratch (token buffers, open stack,
   // per-tag info cache) makes steady-state builds allocation-light.
   html::StreamingSnapshotBuilder streamBuilder_;
   std::uint64_t objectRequests_ = 0;
-  RetryPolicy hiddenRetryPolicy_;
+  net::RetrySpec hiddenRetry_{.maxAttempts = 3, .retryBudget = 256};
   std::uint64_t hiddenRetriesUsed_ = 0;
   std::uint64_t hiddenRequestsSent_ = 0;
 };

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "dom/node.h"
 #include "dom/snapshot.h"
 #include "net/http.h"
 #include "provenance/taint.h"
@@ -28,9 +27,6 @@ struct PageView {
   // The container request exactly as sent (URI and header information saved
   // for replay as the hidden request).
   net::HttpRequest containerRequest;
-  // The regular DOM tree. Only populated in DomMode::Reference; the
-  // streaming pipeline (the default) never builds it.
-  std::unique_ptr<dom::Node> document;
   // Flattened detection view of the container page, built at parse time
   // (shared so reports and copies of the view alias one snapshot). Null
   // when the visit expected no comparison; Browser::snapshotOf then builds

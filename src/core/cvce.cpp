@@ -1,143 +1,10 @@
 #include "core/cvce.h"
 
 #include <algorithm>
-#include <map>
 
 #include "obs/recorder.h"
-#include "util/strings.h"
 
 namespace cookiepicker::core {
-
-namespace {
-
-using dom::Node;
-
-void extractRecursive(const Node& node, const std::string& context,
-                      const CvceOptions& options,
-                      std::set<std::string>& output) {
-  if (node.isText()) {
-    const std::string text = util::collapseWhitespace(node.value());
-    if (text.empty()) return;
-    if (options.filterNonAlphanumeric && !util::hasAlphanumeric(text)) {
-      return;
-    }
-    if (options.filterDateTime && util::looksLikeDateOrTime(text)) return;
-    output.insert(context + kContextSeparator + text);
-    return;
-  }
-  if (node.isComment()) return;
-
-  if (node.isElement()) {
-    const std::string& tag = node.name();
-    if (options.filterScriptsAndStyles &&
-        (tag == "script" || tag == "style" || tag == "noscript")) {
-      return;
-    }
-    if (options.filterOptionText && tag == "option") return;
-    if (options.filterAdvertisement &&
-        looksLikeAdvertisementContainer(node)) {
-      return;
-    }
-    const std::string currentContext = context + ":" + tag;
-    for (const auto& child : node.children()) {
-      extractRecursive(*child, currentContext, options, output);
-    }
-    return;
-  }
-  // Document / doctype containers: descend without extending the context.
-  for (const auto& child : node.children()) {
-    extractRecursive(*child, context, options, output);
-  }
-}
-
-}  // namespace
-
-bool looksLikeAdvertisementContainer(const dom::Node& element) {
-  // Token-wise match (util::hasAdSignalToken) so "download" or "shadow" do
-  // not trip the filter; a single string_view scan per attribute.
-  if (!element.isElement()) return false;
-  if (const auto classAttr = element.attribute("class");
-      classAttr.has_value() && util::hasAdSignalToken(*classAttr)) {
-    return true;
-  }
-  if (const auto idAttr = element.attribute("id");
-      idAttr.has_value() && util::hasAdSignalToken(*idAttr)) {
-    return true;
-  }
-  return false;
-}
-
-std::set<std::string> extractContextContent(const dom::Node& root,
-                                            const CvceOptions& options) {
-  obs::ScopedTimer span(obs::Timer::CvceExtract);
-  obs::count(obs::Counter::CvceExtractions);
-  std::set<std::string> output;
-  // The root element's own name seeds the context, so paths are stable
-  // regardless of what the root's parent looked like.
-  if (root.isElement()) {
-    const std::string seed = root.name();
-    if (options.filterScriptsAndStyles &&
-        (seed == "script" || seed == "style" || seed == "noscript")) {
-      return output;
-    }
-    for (const auto& child : root.children()) {
-      extractRecursive(*child, seed, options, output);
-    }
-  } else {
-    for (const auto& child : root.children()) {
-      extractRecursive(*child, "", options, output);
-    }
-  }
-  return output;
-}
-
-std::string contextOf(const std::string& contextContent) {
-  const std::size_t separator = contextContent.find(kContextSeparator);
-  return separator == std::string::npos ? contextContent
-                                        : contextContent.substr(0, separator);
-}
-
-double nTextSim(const std::set<std::string>& s1,
-                const std::set<std::string>& s2, bool sameContextCredit) {
-  obs::ScopedTimer span(obs::Timer::CvceMerge);
-  obs::count(obs::Counter::CvceMerges);
-  if (s1.empty() && s2.empty()) return 1.0;
-
-  std::size_t intersection = 0;
-  // Strings unique to each side, bucketed by context.
-  std::map<std::string, std::size_t> unique1Contexts;
-  std::map<std::string, std::size_t> unique2Contexts;
-
-  for (const std::string& entry : s1) {
-    if (s2.contains(entry)) {
-      ++intersection;
-    } else {
-      ++unique1Contexts[contextOf(entry)];
-    }
-  }
-  for (const std::string& entry : s2) {
-    if (!s1.contains(entry)) {
-      ++unique2Contexts[contextOf(entry)];
-    }
-  }
-
-  const std::size_t unionSize = s1.size() + s2.size() - intersection;
-
-  std::size_t sameContextPairs = 0;
-  if (sameContextCredit) {
-    for (const auto& [context, count1] : unique1Contexts) {
-      const auto it = unique2Contexts.find(context);
-      if (it == unique2Contexts.end()) continue;
-      // A replacement consumes one string from each side; both were counted
-      // in the union, so the credit is twice the number of pairs.
-      sameContextPairs += 2 * std::min(count1, it->second);
-    }
-  }
-
-  const double numerator =
-      static_cast<double>(intersection + sameContextPairs);
-  return unionSize == 0 ? 1.0 : numerator / static_cast<double>(unionSize);
-}
 
 namespace {
 
@@ -152,7 +19,7 @@ void walkContextContent(const dom::TreeSnapshot& snapshot, std::uint32_t root,
   stack.clear();
   dom::ContextInterner& contexts = dom::globalContextInterner();
 
-  // Seed the context exactly as extractContextContent does: the root
+  // Seed the context as the reference extractContextContent does: the root
   // element's own name (subject only to the script/style filter), or the
   // empty context when comparison starts above an element.
   dom::ContextId rootContext = dom::ContextInterner::kEmpty;

@@ -11,12 +11,9 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "dom/node.h"
 #include "dom/snapshot.h"
 
 namespace cookiepicker::core {
@@ -32,34 +29,11 @@ struct CvceOptions {
   bool filterNonAlphanumeric = true;    // pure punctuation/whitespace
 };
 
-// Figure 4's contentExtract: preorder traversal collecting the set S of
-// context-content strings. `root` is typically comparisonRoot(document).
-std::set<std::string> extractContextContent(const dom::Node& root,
-                                            const CvceOptions& options = {});
-
-// Formula 3: NTextSim(S1, S2) = (|S1 ∩ S2| + s) / |S1 ∪ S2|, where s counts
-// strings unique to one set whose context prefix also appears among the
-// other set's unique strings (text replacement in the same context).
-// Both-empty sets are similarity 1. Setting `sameContextCredit` to false
-// drops the s term — plain Jaccard — for the noise ablation.
-double nTextSim(const std::set<std::string>& s1,
-                const std::set<std::string>& s2,
-                bool sameContextCredit = true);
-
-// True if an element subtree is "obvious advertisement" by the class/id
-// heuristic ("ad", "ads", "advert", "sponsor", "banner", "promo" tokens).
-bool looksLikeAdvertisementContainer(const dom::Node& element);
-
-// The context prefix of a context-content string (everything before the
-// separator); the whole string if no separator is present.
-std::string contextOf(const std::string& contextContent);
-
-// --- snapshot fast path ----------------------------------------------------
 // The interned form of a context-content string: the context path as a
-// global ContextId and the collapsed text as a 64-bit FNV-1a hash. A sorted
-// deduplicated vector of these plays the role of the reference
-// std::set<std::string>, with NTextSim reduced to a linear merge.
-
+// global ContextId and the collapsed text as a 64-bit hash. A sorted
+// deduplicated vector of these plays the role of the paper's string set S,
+// with NTextSim reduced to a linear merge. The string-set reference the
+// differential tests compare against lives in tests/oracle/.
 struct CvceFeature {
   dom::ContextId contextId = 0;
   std::uint64_t textHash = 0;
@@ -86,9 +60,11 @@ struct CvceScratch {
   std::vector<std::pair<dom::ContextId, std::size_t>> unique2;
 };
 
-// Figure 4's contentExtract over a snapshot: same traversal, same noise
-// rules (all precomputed per node at snapshot build), emitting sorted
-// deduplicated (contextId, textHash) pairs into `output` (cleared first).
+// Figure 4's contentExtract over a snapshot: a preorder traversal from
+// `root` (typically the snapshot's comparison root) with the noise rules
+// precomputed per row at snapshot build, emitting sorted deduplicated
+// (contextId, textHash) pairs into `output` (cleared first). The root
+// element's own name seeds the context.
 void extractContextContentFeatures(const dom::TreeSnapshot& snapshot,
                                    std::uint32_t root,
                                    const CvceOptions& options,
@@ -110,10 +86,13 @@ void extractContextContentFeatures(const dom::TreeSnapshot& snapshot,
                                    CvceScratch& scratch,
                                    std::vector<LocatedFeature>& output);
 
-// Formula 3 as a linear merge over two sorted feature sets, with the
-// same-context replacement credit computed from context-bucketed unique
-// counts — integer-for-integer the arithmetic of the reference nTextSim,
-// so the resulting doubles are bit-identical.
+// Formula 3: NTextSim(S1, S2) = (|S1 ∩ S2| + s) / |S1 ∪ S2|, where s
+// counts features unique to one set whose context also appears among the
+// other set's unique features (text replacement in the same context). A
+// linear merge over two sorted feature sets, with s computed from
+// context-bucketed unique counts. Both-empty sets are similarity 1.
+// Setting `sameContextCredit` to false drops the s term — plain Jaccard —
+// for the noise ablation.
 double nTextSim(const CvceFeatureSet& s1, const CvceFeatureSet& s2,
                 CvceScratch& scratch, bool sameContextCredit = true);
 

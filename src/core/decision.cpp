@@ -5,10 +5,8 @@
 
 namespace cookiepicker::core {
 
-namespace {
-
-// Figure 5's verdict from the two similarities — shared by the reference
-// and snapshot paths so the threshold logic cannot drift between them.
+// Shared with the node-tree reference in tests/oracle/, so the threshold
+// logic cannot drift between the two.
 void applyDecisionMode(DecisionResult& result, const DecisionConfig& config) {
   const bool treeDiffers = result.treeSim <= config.treeThreshold;
   const bool textDiffers = result.textSim <= config.textThreshold;
@@ -26,34 +24,6 @@ void applyDecisionMode(DecisionResult& result, const DecisionConfig& config) {
       result.causedByCookies = treeDiffers || textDiffers;
       break;
   }
-}
-
-}  // namespace
-
-DecisionResult decideCookieUsefulness(const dom::Node& regularDocument,
-                                      const dom::Node& hiddenDocument,
-                                      const DecisionConfig& config) {
-  DecisionResult result;
-  const util::StopWatch watch;
-  obs::ScopedTimer span(obs::Timer::Decision);
-
-  const dom::Node& regularRoot = comparisonRoot(regularDocument);
-  const dom::Node& hiddenRoot = comparisonRoot(hiddenDocument);
-
-  result.treeSim = nTreeSim(regularRoot, hiddenRoot, config.maxLevel);
-  const std::set<std::string> regularContent =
-      extractContextContent(regularRoot, config.cvce);
-  const std::set<std::string> hiddenContent =
-      extractContextContent(hiddenRoot, config.cvce);
-  result.textSim =
-      nTextSim(regularContent, hiddenContent, config.sameContextCredit);
-
-  applyDecisionMode(result, config);
-  obs::count(obs::Counter::Decisions);
-  obs::count(result.causedByCookies ? obs::Counter::VerdictCookieCaused
-                                    : obs::Counter::VerdictNoDifference);
-  result.detectionTimeMs = watch.elapsedMs();
-  return result;
 }
 
 DecisionResult decideCookieUsefulness(const dom::TreeSnapshot& regularSnapshot,

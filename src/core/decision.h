@@ -1,14 +1,13 @@
 // The CookiePicker decision algorithm — Section 4.3 / Figure 5.
 //
-// Given the regular and hidden DOM trees, compute both similarity metrics;
-// only when *both* fall at or below their (conservative, 0.85) thresholds is
-// the difference attributed to the disabled cookies rather than to page
-// dynamics.
+// Given the regular and hidden page snapshots, compute both similarity
+// metrics; only when *both* fall at or below their (conservative, 0.85)
+// thresholds is the difference attributed to the disabled cookies rather
+// than to page dynamics.
 #pragma once
 
 #include "core/cvce.h"
 #include "core/rstm.h"
-#include "dom/node.h"
 
 namespace cookiepicker::core {
 
@@ -37,11 +36,9 @@ struct DecisionResult {
   double detectionTimeMs = 0.0;
 };
 
-// Runs both detection algorithms on the two *documents* (comparison is
-// rooted at each document's <body>, per Section 5.2) and applies Figure 5.
-DecisionResult decideCookieUsefulness(const dom::Node& regularDocument,
-                                      const dom::Node& hiddenDocument,
-                                      const DecisionConfig& config = {});
+// Figure 5's verdict from the two similarities already in `result`: sets
+// result.causedByCookies per config.mode and the two thresholds.
+void applyDecisionMode(DecisionResult& result, const DecisionConfig& config);
 
 // All reusable scratch memory one detection step needs: the RSTM DP arena,
 // the CVCE extraction/merge scratch, and the two feature vectors. One per
@@ -54,9 +51,10 @@ struct DetectionScratch {
   CvceFeatureSet hiddenFeatures;
 };
 
-// The allocation-free fast path over cached snapshots. Bit-identical
-// similarities and verdicts to the document overload (differential
-// property test); ~an order of magnitude faster on roster pages.
+// Runs both detection algorithms on the two snapshots (comparison is rooted
+// at each document's <body>, per Section 5.2) and applies Figure 5. After
+// the first few steps it allocates nothing; the node-tree reference in
+// tests/oracle/ returns bit-identical similarities and verdicts.
 DecisionResult decideCookieUsefulness(const dom::TreeSnapshot& regularSnapshot,
                                       const dom::TreeSnapshot& hiddenSnapshot,
                                       DetectionScratch& scratch,

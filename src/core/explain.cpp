@@ -1,26 +1,16 @@
 #include "core/explain.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <stdexcept>
 
 #include "core/cvce.h"
-#include "core/rstm.h"
-#include "core/stm.h"
 #include "util/stats.h"
 #include "util/strings.h"
 #include "util/text_hash.h"
 
 namespace cookiepicker::core {
 
-namespace {
-
-using dom::Node;
-
-// Paths with a positive excess multiplicity, rendered as "path (xN)" and
-// ordered by excess (larger first), then path.
-std::vector<std::string> renderExcess(
+std::vector<std::string> renderPathExcess(
     std::vector<std::pair<int, std::string>> excess, std::size_t maxItems) {
   std::sort(excess.begin(), excess.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first > b.first;
@@ -36,50 +26,7 @@ std::vector<std::string> renderExcess(
   return rendered;
 }
 
-// --- oracle: node trees ------------------------------------------------------
-
-// Collects, for every countable (visible, non-leaf, within-level) node, its
-// element path from the comparison root, with a multiplicity count.
-void collectPaths(const Node& node, const std::string& prefix, int level,
-                  int maxLevel, std::map<std::string, int>& paths) {
-  const int currentLevel = level + 1;
-  if (node.childCount() == 0 || !isVisibleStructuralNode(node) ||
-      currentLevel > maxLevel) {
-    return;
-  }
-  const std::string path =
-      prefix.empty() ? node.name() : prefix + ">" + node.name();
-  ++paths[path];
-  for (const auto& child : node.children()) {
-    collectPaths(*child, path, currentLevel, maxLevel, paths);
-  }
-}
-
-// Paths with higher multiplicity on `left` than on `right`.
-std::vector<std::string> pathExcess(const std::map<std::string, int>& left,
-                                    const std::map<std::string, int>& right,
-                                    std::size_t maxItems) {
-  std::vector<std::pair<int, std::string>> excess;
-  for (const auto& [path, count] : left) {
-    const auto it = right.find(path);
-    const int delta = count - (it == right.end() ? 0 : it->second);
-    if (delta > 0) excess.emplace_back(delta, path);
-  }
-  return renderExcess(std::move(excess), maxItems);
-}
-
-std::vector<std::string> setOnly(const std::set<std::string>& left,
-                                 const std::set<std::string>& right,
-                                 std::size_t maxItems) {
-  std::vector<std::string> only;
-  for (const std::string& entry : left) {
-    if (only.size() >= maxItems) break;
-    if (!right.contains(entry)) only.push_back(entry);
-  }
-  return only;
-}
-
-// --- snapshots ---------------------------------------------------------------
+namespace {
 
 const std::string& symbolName(EvidenceScratch& scratch,
                               dom::SymbolId symbol) {
@@ -90,8 +37,8 @@ const std::string& symbolName(EvidenceScratch& scratch,
 }
 
 // Appends the path `id` names, tags joined by `separator`. A chain that
-// hangs off the empty context starts with the separator, as the reference
-// CVCE context ":html:..." does.
+// hangs off the empty context starts with the separator, as a CVCE context
+// string ":html:..." does.
 void appendPath(EvidenceScratch& scratch, dom::ContextId id, char separator,
                 std::string& out) {
   const bool seeded = dom::globalContextInterner().tags(id, scratch.chain);
@@ -101,9 +48,9 @@ void appendPath(EvidenceScratch& scratch, dom::ContextId id, char separator,
   }
 }
 
-// collectPaths over a snapshot: the path ID of every countable row, sorted.
-// Path IDs are context IDs (seed the root, extend by each child's symbol),
-// which map one-to-one to tag chains.
+// The path ID of every countable (visible, non-leaf, within-level) row under
+// the comparison root, sorted. Path IDs are context IDs (seed the root,
+// extend by each child's symbol), which map one-to-one to tag chains.
 void collectPathIds(const dom::TreeSnapshot& snapshot, int maxLevel,
                     EvidenceScratch& scratch,
                     std::vector<dom::ContextId>& paths) {
@@ -136,8 +83,8 @@ void collectPathIds(const dom::TreeSnapshot& snapshot, int maxLevel,
   std::sort(paths.begin(), paths.end());
 }
 
-// pathExcess over sorted path IDs; strings are built only for paths with a
-// positive excess.
+// Paths with higher multiplicity in `left` than in `right`, over sorted
+// path IDs; strings are built only for paths with a positive excess.
 std::vector<std::string> pathExcess(const std::vector<dom::ContextId>& left,
                                     const std::vector<dom::ContextId>& right,
                                     std::size_t maxItems,
@@ -163,7 +110,7 @@ std::vector<std::string> pathExcess(const std::vector<dom::ContextId>& left,
     i = leftEnd;
     j = rightEnd;
   }
-  return renderExcess(std::move(excess), maxItems);
+  return renderPathExcess(std::move(excess), maxItems);
 }
 
 // Features of `left` that `right` lacks (both sorted by feature).
@@ -180,8 +127,8 @@ void featuresOnlyIn(const std::vector<LocatedFeature>& left,
   }
 }
 
-// setOnly over features: the first `maxItems`, in string order, of the
-// strings "context|>text" that the features in `only` stand for.
+// The first `maxItems`, in string order, of the context-content strings
+// "context|>text" that the features in `only` stand for.
 std::vector<std::string> textOnly(const std::vector<LocatedFeature>& only,
                                   PageCopy copy, std::size_t maxItems,
                                   EvidenceScratch& scratch) {
@@ -316,43 +263,6 @@ void collectDifferenceEvidence(PageCopy regular, PageCopy hidden,
                  scratch.oneSided);
   explanation.textOnlyInHidden =
       textOnly(scratch.oneSided, hidden, options.maxItems, scratch);
-}
-
-DifferenceExplanation explainDifference(const dom::Node& regularDocument,
-                                        const dom::Node& hiddenDocument,
-                                        const ExplainOptions& options) {
-  DifferenceExplanation explanation;
-  explanation.decision = decideCookieUsefulness(
-      regularDocument, hiddenDocument, options.decision);
-  collectDifferenceEvidence(regularDocument, hiddenDocument, options,
-                            explanation);
-  return explanation;
-}
-
-void collectDifferenceEvidence(const dom::Node& regularDocument,
-                               const dom::Node& hiddenDocument,
-                               const ExplainOptions& options,
-                               DifferenceExplanation& explanation) {
-  const Node& regularRoot = comparisonRoot(regularDocument);
-  const Node& hiddenRoot = comparisonRoot(hiddenDocument);
-
-  std::map<std::string, int> regularPaths;
-  std::map<std::string, int> hiddenPaths;
-  collectPaths(regularRoot, "", 0, options.decision.maxLevel, regularPaths);
-  collectPaths(hiddenRoot, "", 0, options.decision.maxLevel, hiddenPaths);
-  explanation.structureOnlyInRegular =
-      pathExcess(regularPaths, hiddenPaths, options.maxItems);
-  explanation.structureOnlyInHidden =
-      pathExcess(hiddenPaths, regularPaths, options.maxItems);
-
-  const auto regularText =
-      extractContextContent(regularRoot, options.decision.cvce);
-  const auto hiddenText =
-      extractContextContent(hiddenRoot, options.decision.cvce);
-  explanation.textOnlyInRegular =
-      setOnly(regularText, hiddenText, options.maxItems);
-  explanation.textOnlyInHidden =
-      setOnly(hiddenText, regularText, options.maxItems);
 }
 
 }  // namespace cookiepicker::core

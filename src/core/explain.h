@@ -12,18 +12,17 @@
 // ID; text re-runs the CVCE feature extraction and diffs (context, hash)
 // features. Strings are built only for what a list reports, and a reported
 // text row's words are recovered by re-running the streaming builder over
-// that copy's HTML. The dom::Node overloads compute the same lists from
-// node trees; they are the oracle the differential tests compare against,
-// and no production path calls them.
+// that copy's HTML. The differential tests compare every list with the
+// node-tree oracle in tests/oracle/.
 #pragma once
 
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/decision.h"
-#include "dom/node.h"
 #include "dom/snapshot.h"
 #include "html/stream_snapshot.h"
 
@@ -52,7 +51,7 @@ struct ExplainOptions {
 };
 
 // One copy of a page as the detector saw it: its snapshot and the HTML the
-// snapshot was built from (default ParseOptions, as the browser builds it).
+// snapshot was built from.
 struct PageCopy {
   const dom::TreeSnapshot& snapshot;
   std::string_view html;
@@ -81,6 +80,12 @@ struct EvidenceScratch {
   std::string collapsed;
 };
 
+// The structure lists' rendering, shared with the node-tree oracle: paths
+// with a positive excess multiplicity as "path (xN)", ordered by excess
+// (larger first), then path, capped at `maxItems`.
+std::vector<std::string> renderPathExcess(
+    std::vector<std::pair<int, std::string>> excess, std::size_t maxItems);
+
 // Runs the decision algorithms and gathers the supporting evidence.
 DifferenceExplanation explainDifference(PageCopy regular, PageCopy hidden,
                                         const ExplainOptions& options = {});
@@ -89,19 +94,10 @@ DifferenceExplanation explainDifference(PageCopy regular, PageCopy hidden,
 // structure/text lists without re-running the decision (the caller supplies
 // `explanation.decision` itself, typically from a verdict it already has —
 // the audit trail uses this to attach evidence to cookie-caused verdicts).
-// Counts two CVCE extractions, as the oracle does.
+// Counts two CVCE extractions.
 void collectDifferenceEvidence(PageCopy regular, PageCopy hidden,
                                const ExplainOptions& options,
                                EvidenceScratch& scratch,
-                               DifferenceExplanation& explanation);
-
-// The oracle: the same lists from parsed node trees.
-DifferenceExplanation explainDifference(const dom::Node& regularDocument,
-                                        const dom::Node& hiddenDocument,
-                                        const ExplainOptions& options = {});
-void collectDifferenceEvidence(const dom::Node& regularDocument,
-                               const dom::Node& hiddenDocument,
-                               const ExplainOptions& options,
                                DifferenceExplanation& explanation);
 
 }  // namespace cookiepicker::core

@@ -9,58 +9,12 @@ namespace cookiepicker::core {
 
 namespace {
 
-using dom::Node;
-
 // Figure 2. `level` is the level of A and B's *parents* per the paper's
 // phrasing; the roots of the whole comparison are called with level 0 and
-// occupy currentLevel 1.
-std::size_t rstmRecursive(const Node& a, const Node& b, int level,
-                          int maxLevel) {
-  // Line 1-3: different symbols → no match at all.
-  if (a.name() != b.name()) return 0;
-  // Line 4.
-  const int currentLevel = level + 1;
-  // Lines 5-8: leaf pairs, non-visible pairs, and pairs beyond the level
-  // restriction contribute nothing (and are not descended into).
-  if (a.childCount() == 0 || b.childCount() == 0 ||
-      !isVisibleStructuralNode(a) || !isVisibleStructuralNode(b) ||
-      currentLevel > maxLevel) {
-    return 0;
-  }
-  // Lines 9-19: DP over first-level subtrees.
-  const std::size_t m = a.childCount();
-  const std::size_t n = b.childCount();
-  std::vector<std::vector<std::size_t>> M(m + 1,
-                                          std::vector<std::size_t>(n + 1, 0));
-  for (std::size_t i = 1; i <= m; ++i) {
-    for (std::size_t j = 1; j <= n; ++j) {
-      const std::size_t w =
-          rstmRecursive(a.child(i - 1), b.child(j - 1), currentLevel,
-                        maxLevel);
-      M[i][j] = std::max({M[i][j - 1], M[i - 1][j], M[i - 1][j - 1] + w});
-    }
-  }
-  // Line 20.
-  return M[m][n] + 1;
-}
-
-std::size_t countRecursive(const Node& node, int level, int maxLevel) {
-  const int currentLevel = level + 1;
-  if (node.childCount() == 0 || !isVisibleStructuralNode(node) ||
-      currentLevel > maxLevel) {
-    return 0;
-  }
-  std::size_t total = 1;
-  for (const auto& child : node.children()) {
-    total += countRecursive(*child, currentLevel, maxLevel);
-  }
-  return total;
-}
-
-// The snapshot twin of rstmRecursive: identical control flow, integer
-// symbol compares, and two DP rows carved from the caller's arena instead
-// of a fresh (m+1)×(n+1) matrix per recursion. `arena.cells` may relocate
-// while a child call grows it, so every row access re-indexes the vector.
+// occupy currentLevel 1. Two DP rows are carved from the caller's arena
+// instead of a fresh (m+1)×(n+1) matrix per recursion. `arena.cells` may
+// relocate while a child call grows it, so every row access re-indexes the
+// vector.
 std::size_t rstmSnapshot(const dom::TreeSnapshot& a, std::uint32_t nodeA,
                          const dom::TreeSnapshot& b, std::uint32_t nodeB,
                          int level, int maxLevel, RstmArena& arena) {
@@ -98,41 +52,6 @@ std::size_t rstmSnapshot(const dom::TreeSnapshot& a, std::uint32_t nodeA,
 
 }  // namespace
 
-bool isVisibleStructuralNode(const dom::Node& node) {
-  if (node.isElement()) return !dom::isNonVisualTag(node.name());
-  // Document nodes act as containers when comparison starts above <body>.
-  if (node.isDocument()) return true;
-  // Comments have no visual effect; text nodes are leaves handled by CVCE.
-  return false;
-}
-
-std::size_t restrictedSimpleTreeMatching(const dom::Node& a,
-                                         const dom::Node& b, int maxLevel) {
-  return rstmRecursive(a, b, /*level=*/0, maxLevel);
-}
-
-std::size_t countRestrictedNodes(const dom::Node& root, int maxLevel) {
-  return countRecursive(root, /*level=*/0, maxLevel);
-}
-
-double nTreeSim(const dom::Node& a, const dom::Node& b, int maxLevel) {
-  obs::ScopedTimer span(obs::Timer::RstmDp);
-  obs::count(obs::Counter::RstmEvaluations);
-  const auto matched =
-      static_cast<double>(restrictedSimpleTreeMatching(a, b, maxLevel));
-  const auto countA = static_cast<double>(countRestrictedNodes(a, maxLevel));
-  const auto countB = static_cast<double>(countRestrictedNodes(b, maxLevel));
-  const double denominator = countA + countB - matched;
-  // Two trees with nothing countable in the compared region are trivially
-  // identical as far as RSTM can see.
-  return denominator <= 0.0 ? 1.0 : matched / denominator;
-}
-
-const dom::Node& comparisonRoot(const dom::Node& document) {
-  const dom::Node* body = document.findFirst("body");
-  return body != nullptr ? *body : document;
-}
-
 std::size_t restrictedSimpleTreeMatching(const dom::TreeSnapshot& a,
                                          std::uint32_t rootA,
                                          const dom::TreeSnapshot& b,
@@ -145,8 +64,8 @@ std::size_t countRestrictedNodes(const dom::TreeSnapshot& snapshot,
                                  std::uint32_t root, int maxLevel) {
   // Preorder scan with subtree skips: a node counts when it is a non-leaf
   // visible node within the level restriction *and* every ancestor up to
-  // the root counted (otherwise its whole subtree is skipped) — exactly the
-  // descent rule of countRecursive, without the call stack.
+  // the root counted (otherwise its whole subtree is skipped) — the
+  // descent rule of a recursive count, without the call stack.
   std::size_t total = 0;
   const std::int32_t rootLevel = snapshot.level(root);
   const std::uint32_t end = snapshot.subtreeEnd(root);

@@ -9,10 +9,10 @@
 //     elements are excluded, and text leaves are left to CVCE.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
-#include "dom/node.h"
 #include "dom/snapshot.h"
 
 namespace cookiepicker::core {
@@ -40,41 +40,13 @@ struct RstmArena {
   void release(std::size_t base) { used = base; }
 };
 
-// Figure 2, literally: RSTM(A, B, level) with level starting at 0 for the
-// roots; pairs at depth >= maxLevel, leaf pairs, and non-visual pairs
-// contribute nothing (and prune their subtrees).
-std::size_t restrictedSimpleTreeMatching(const dom::Node& a,
-                                         const dom::Node& b,
-                                         int maxLevel = kDefaultMaxLevel);
-
-// N(A, l): the number of nodes RSTM(A, A, l) would count — non-leaf visible
-// nodes in the upper l levels, reachable through counted ancestors.
-// Computed by a single preorder walk in O(n) (Section 4.1.4).
-std::size_t countRestrictedNodes(const dom::Node& root,
-                                 int maxLevel = kDefaultMaxLevel);
-
-// Formula 2: NTreeSim(A, B, l) =
-//   RSTM(A,B,l) / (N(A,l) + N(B,l) - RSTM(A,B,l)).
-// Both-empty trees (no countable nodes) are defined as similarity 1.
-double nTreeSim(const dom::Node& a, const dom::Node& b,
-                int maxLevel = kDefaultMaxLevel);
-
-// The comparison root the paper uses: "the top five level of DOM tree
-// starting from the body HTML node". Returns the <body> element if the
-// document has one, otherwise the document node itself.
-const dom::Node& comparisonRoot(const dom::Node& document);
-
-// True if RSTM counts this node: an element with visual effect.
-// (Leafness and depth are checked by the recursion, not here.)
-bool isVisibleStructuralNode(const dom::Node& node);
-
-// --- snapshot fast path ----------------------------------------------------
-// Same algorithms over dom::TreeSnapshot indices: interned-symbol compares,
-// rolling-row DP in the caller's arena, and an allocation-free counting
-// scan. The dom::Node overloads above remain the reference implementation;
-// tests/detection_fastpath_test.cpp proves the two return bit-identical
-// results on seeded random tree pairs.
-
+// Figure 2 over dom::TreeSnapshot indices: RSTM(A, B, level) with level
+// starting at 0 for the roots; pairs at depth >= maxLevel, leaf pairs, and
+// non-visual pairs contribute nothing (and prune their subtrees). Interned
+// symbol compares, and rolling DP rows carved from the caller's arena.
+// tests/detection_fastpath_test.cpp proves these return bit-identical
+// results to the node-tree reference in tests/oracle/ on seeded random
+// tree pairs.
 std::size_t restrictedSimpleTreeMatching(const dom::TreeSnapshot& a,
                                          std::uint32_t rootA,
                                          const dom::TreeSnapshot& b,
@@ -82,10 +54,16 @@ std::size_t restrictedSimpleTreeMatching(const dom::TreeSnapshot& a,
                                          RstmArena& arena,
                                          int maxLevel = kDefaultMaxLevel);
 
+// N(A, l): the number of rows RSTM(A, A, l) would count — non-leaf visible
+// rows in the upper l levels, reachable through counted ancestors.
+// Computed by a single preorder scan in O(n) (Section 4.1.4).
 std::size_t countRestrictedNodes(const dom::TreeSnapshot& snapshot,
                                  std::uint32_t root,
                                  int maxLevel = kDefaultMaxLevel);
 
+// Formula 2: NTreeSim(A, B, l) =
+//   RSTM(A,B,l) / (N(A,l) + N(B,l) - RSTM(A,B,l)).
+// Both-empty trees (no countable rows) are defined as similarity 1.
 double nTreeSim(const dom::TreeSnapshot& a, std::uint32_t rootA,
                 const dom::TreeSnapshot& b, std::uint32_t rootB,
                 RstmArena& arena, int maxLevel = kDefaultMaxLevel);

@@ -1,8 +1,8 @@
 // Flattened DOM snapshot — the cache-friendly substrate of the detection
 // hot path.
 //
-// A TreeSnapshot is a one-pass preorder flattening of a parsed document
-// into parallel arrays: interned name symbols, subtree extents, child
+// A TreeSnapshot is a one-pass preorder flattening of a document into
+// parallel arrays: interned name symbols, subtree extents, child
 // spans, depth, and the per-node predicates RSTM and CVCE would otherwise
 // recompute from strings on every comparison (visibility, script/option
 // tags, ad-container class/id heuristic, text noise filters, a 64-bit
@@ -11,12 +11,12 @@
 // every detection step over that document with integer compares and zero
 // further allocation.
 //
-// Two producers fill the arrays: the reference constructor below, which
-// flattens an existing dom::Node tree, and html::StreamingSnapshotBuilder,
-// which emits the same rows directly from the token stream without ever
-// materializing nodes. Both funnel through finish() so the derived child
-// spans and comparison root are computed by one shared pass; the
-// differential fuzz suite asserts the raw arrays are byte-identical.
+// html::StreamingSnapshotBuilder fills the arrays directly from the token
+// stream. The test oracle's TreeFlattener is the second producer: it
+// flattens the reference parser's node tree into the same rows. Both
+// funnel through finish(), so the derived child spans and comparison root
+// come from one shared pass, and the differential fuzz suite asserts the
+// raw arrays of the two producers are byte-identical.
 //
 // The snapshot is immutable after construction and safe to share across
 // threads; the interners it writes through are globally synchronized.
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "dom/interner.h"
-#include "dom/node.h"
 #include "provenance/taint.h"
 
 namespace cookiepicker::html {
@@ -35,19 +34,11 @@ class StreamingSnapshotBuilder;
 
 namespace cookiepicker::dom {
 
+class TreeFlattener;
+
+// Node indices below are preorder positions, the document row at 0.
 class TreeSnapshot {
  public:
-  // Flattens the whole subtree under `root` (typically the parsed document
-  // node). Node indices below are preorder positions, root at 0.
-  explicit TreeSnapshot(const Node& root);
-
-  // Same flattening, additionally stamping each row with the effective
-  // taint label-set of its node (own labels OR ancestors'). Only meaningful
-  // for server-side trees whose nodes carry taint; the streaming builder
-  // produces identical stamps from the serialized ProvenanceMap, which the
-  // provenance differential suite pins.
-  TreeSnapshot(const Node& root, bool stampTaint);
-
   std::uint32_t nodeCount() const {
     return static_cast<std::uint32_t>(symbols_.size());
   }
@@ -73,7 +64,8 @@ class TreeSnapshot {
   bool isElement(std::uint32_t i) const { return flag(i, kElement); }
   bool isText(std::uint32_t i) const { return flag(i, kText); }
   bool isComment(std::uint32_t i) const { return flag(i, kComment); }
-  // core::isVisibleStructuralNode, precomputed.
+  // What RSTM counts: the document row, or an element with visual effect
+  // (html::isNonVisualTag false).
   bool visibleStructural(std::uint32_t i) const {
     return flag(i, kVisibleStructural);
   }
@@ -130,16 +122,14 @@ class TreeSnapshot {
 
  private:
   friend class ::cookiepicker::html::StreamingSnapshotBuilder;
+  friend class TreeFlattener;
 
-  // Empty snapshot for the streaming builder to fill row by row.
+  // Empty snapshot for a producer to fill row by row.
   TreeSnapshot() = default;
 
   bool flag(std::uint32_t i, Flag bit) const {
     return (flags_[i] & bit) != 0;
   }
-
-  std::uint32_t flatten(const Node& node, std::int32_t level,
-                        std::uint32_t inheritedTaint);
 
   // Derives child spans and the comparison root from the preorder rows.
   // Shared by both producers — any row-level divergence between them shows
@@ -157,7 +147,6 @@ class TreeSnapshot {
   std::vector<std::uint32_t> childIndex_;
   std::vector<provenance::TaintSetId> taintSets_;
   std::uint32_t comparisonRoot_ = 0;
-  bool stampTaint_ = false;
 };
 
 }  // namespace cookiepicker::dom

@@ -12,7 +12,7 @@ namespace {
 
 using dom::TreeSnapshot;
 
-// The tree builder's whitespace-only test (parser.cpp) — '\v' excluded.
+// Whitespace-only text: ' ', '\t', '\r', '\n' and '\f' ('\v' excluded).
 bool isWhitespaceOnlyText(std::string_view text) {
   return std::all_of(text.begin(), text.end(), [](char ch) {
     return ch == ' ' || ch == '\t' || ch == '\r' || ch == '\n' || ch == '\f';
@@ -107,7 +107,7 @@ const StreamingSnapshotBuilder::TagInfo& StreamingSnapshotBuilder::tagInfo(
   info.preformatted = name == "pre" || name == "textarea";
   info.scriptish = name == "script" || name == "style" || name == "noscript";
   info.isOption = name == "option";
-  info.nonVisual = dom::isNonVisualTag(name);
+  info.nonVisual = isNonVisualTag(name);
   if (name == "html") {
     info.structural = 1;
   } else if (name == "head") {
@@ -187,12 +187,10 @@ void StreamingSnapshotBuilder::resetFrame(Frame& frame) {
 void StreamingSnapshotBuilder::begin(TreeSnapshot& snapshot,
                                      StreamPageInfo* page,
                                      std::string_view htmlText,
-                                     const ParseOptions& options,
                                      const provenance::ProvenanceMap*
                                          provenance) {
   snap_ = &snapshot;
   page_ = page;
-  options_ = &options;
   prov_ = provenance != nullptr && !provenance->empty() ? provenance : nullptr;
   resetFrame(document_);
   resetFrame(html_);
@@ -232,8 +230,7 @@ void StreamingSnapshotBuilder::consume(std::uint32_t rowLimit) {
 }
 
 StreamParseResult StreamingSnapshotBuilder::build(
-    std::string_view htmlText, const ParseOptions& options,
-    const provenance::ProvenanceMap* provenance) {
+    std::string_view htmlText, const provenance::ProvenanceMap* provenance) {
   StreamParseResult result;
   auto snapshot = std::shared_ptr<TreeSnapshot>(new TreeSnapshot());
   // Dense markup runs a few bytes per node; a light reserve skips the first
@@ -247,7 +244,7 @@ StreamParseResult StreamingSnapshotBuilder::build(
   if (provenance != nullptr && !provenance->empty()) {
     snapshot->taintSets_.reserve(rowGuess);
   }
-  begin(*snapshot, &result.page, htmlText, options, provenance);
+  begin(*snapshot, &result.page, htmlText, provenance);
   consume(std::numeric_limits<std::uint32_t>::max());
 
   // Mirror TreeBuilder::build's trailing ensureBody (the skeleton exists
@@ -269,7 +266,6 @@ StreamParseResult StreamingSnapshotBuilder::build(
   result.snapshot = std::move(snapshot);
   snap_ = nullptr;
   page_ = nullptr;
-  options_ = nullptr;
   prov_ = nullptr;
   return result;
 }
@@ -292,7 +288,6 @@ StreamPageInfo StreamingSnapshotBuilder::scanPageInfo(
 
 void StreamingSnapshotBuilder::scanText(std::string_view htmlText,
                                         std::uint32_t lastRow) {
-  static const ParseOptions kDefaults;
   // The same token loop into rows the builder keeps, stopped as soon as a
   // row past `lastRow` exists: a text row only grows while no later row
   // has been emitted, so every text row up to `lastRow` is final by then.
@@ -301,10 +296,9 @@ void StreamingSnapshotBuilder::scanText(std::string_view htmlText,
   scanRows_.levels_.clear();
   scanRows_.flags_.clear();
   scanRows_.textHashes_.clear();
-  begin(scanRows_, nullptr, htmlText, kDefaults, nullptr);
+  begin(scanRows_, nullptr, htmlText, nullptr);
   consume(lastRow + 2);
   snap_ = nullptr;
-  options_ = nullptr;
 }
 
 std::string_view StreamingSnapshotBuilder::textRowContent(
@@ -355,10 +349,7 @@ void StreamingSnapshotBuilder::processText() {
   if (isWhitespaceOnlyText(text)) {
     if (body_.row == -1) return;  // whitespace before body: always dropped
     const bool insideRaw = !open_.empty() && open_.back().rawTextTag;
-    if (options_->dropInterElementWhitespace && !insideRaw &&
-        preformattedDepth_ == 0) {
-      return;
-    }
+    if (!insideRaw && preformattedDepth_ == 0) return;
   }
   const bool insideHeadRaw = !open_.empty() && open_.back().headRawText;
   if (body_.row == -1 && !insideHeadRaw) ensureBody();
@@ -622,40 +613,10 @@ void StreamingSnapshotBuilder::popOpen() {
   open_.pop_back();
 }
 
-StreamPageInfo collectPageInfo(const dom::Node& document) {
-  StreamPageInfo info;
-  if (const dom::Node* base = document.findFirst("base")) {
-    if (const auto href = base->attribute("href");
-        href.has_value() && !href->empty()) {
-      info.baseHref = *href;
-    }
-  }
-  dom::preorder(document, [&](const dom::Node& node, std::size_t) {
-    if (!node.isElement()) return true;
-    const std::string& tag = node.name();
-    std::optional<std::string> reference;
-    if (tag == "img" || tag == "script" || tag == "iframe" ||
-        tag == "embed") {
-      reference = node.attribute("src");
-    } else if (tag == "link") {
-      const auto rel = node.attribute("rel");
-      if (rel.has_value() && util::containsIgnoreCase(*rel, "stylesheet")) {
-        reference = node.attribute("href");
-      }
-    }
-    if (reference.has_value() && !reference->empty()) {
-      info.subresourceRefs.push_back(std::move(*reference));
-    }
-    return true;
-  });
-  return info;
-}
-
 StreamParseResult buildSnapshotStreaming(
-    std::string_view htmlText, const ParseOptions& options,
-    const provenance::ProvenanceMap* provenance) {
+    std::string_view htmlText, const provenance::ProvenanceMap* provenance) {
   StreamingSnapshotBuilder builder;
-  return builder.build(htmlText, options, provenance);
+  return builder.build(htmlText, provenance);
 }
 
 }  // namespace cookiepicker::html

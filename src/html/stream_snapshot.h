@@ -1,15 +1,16 @@
 // Streaming tokenizer→snapshot pipeline.
 //
-// StreamingSnapshotBuilder produces the exact dom::TreeSnapshot that
-// `parseHtml` + `TreeSnapshot(const Node&)` would, directly from the token
-// stream, never materializing a dom::Node. The open-tag stack mirrors the
-// TreeBuilder's placement rules (implicit html/head/body skeleton, head
-// content before <body>, optional-end-tag closing, whitespace dropping,
-// adjacent text merging) and emits preorder rows inline: because the
-// builder only ever appends to the rightmost spine of the growing tree,
-// emission order *is* preorder order, so each row's index is final the
-// moment its start tag (or text/comment token) arrives. Three things cannot
-// be known at emission time and are patched later, by index:
+// StreamingSnapshotBuilder is the page parser of Section 3.2: the regular
+// and the hidden copy of a page both go through it. It builds the
+// dom::TreeSnapshot rows directly from the token stream, never
+// materializing a node tree. The open-tag stack applies the placement
+// rules of a lenient tree builder (implicit html/head/body skeleton, head
+// content before <body>, optional-end-tag closing, inter-element
+// whitespace dropping, adjacent text merging) and emits preorder rows
+// inline: because the builder only ever appends to the rightmost spine of
+// the growing tree, emission order *is* preorder order, so each row's index
+// is final the moment its start tag (or text/comment token) arrives. Three
+// things cannot be known at emission time and are patched later, by index:
 //
 //  * subtree extents — finalized to the current row count when an element
 //    is popped (implicitly, by end tag, or at EOF);
@@ -21,12 +22,12 @@
 //  * html/head/body ad-container flags — duplicated structural tags merge
 //    attributes first-wins, so class/id are accumulated and flagged at EOF.
 //
-// Child spans and the comparison root come from the same
-// TreeSnapshot::finish() pass the reference constructor uses. The
-// differential fuzz suite (tests/snapshot_differential_test.cpp) asserts
-// the two producers' arrays are byte-identical across seeded random and
-// mutated documents; the dom::Node path (DomMode::Reference) stays as the
-// testing reference.
+// Child spans and the comparison root come from the shared
+// TreeSnapshot::finish() pass. The differential fuzz suite
+// (tests/snapshot_differential_test.cpp) asserts that the rows equal, byte
+// for byte, those of the test oracle's reference tree builder plus its
+// tree flattener (tests/oracle/) across seeded random and mutated
+// documents.
 #pragma once
 
 #include <array>
@@ -38,7 +39,7 @@
 
 #include "dom/interner.h"
 #include "dom/snapshot.h"
-#include "html/parser.h"
+#include "html/tags.h"
 #include "html/tokenizer.h"
 #include "provenance/taint.h"
 
@@ -77,7 +78,6 @@ class StreamingSnapshotBuilder {
   // skeleton rows stamp 0. Without a map, rows pay a single branch and the
   // snapshot carries no taint vector at all.
   StreamParseResult build(std::string_view htmlText,
-                          const ParseOptions& options = {},
                           const provenance::ProvenanceMap* provenance =
                               nullptr);
 
@@ -88,7 +88,7 @@ class StreamingSnapshotBuilder {
   // comparison will read (Browser::visit without a snapshot).
   StreamPageInfo scanPageInfo(std::string_view htmlText);
 
-  // Runs the same pass (default ParseOptions) over `htmlText` only until
+  // Runs the same pass over `htmlText` only until
   // the content of every text row up to `lastRow` is final, into rows the
   // builder reuses: no snapshot, page info, text hashes or child spans. For
   // reading a few rows' text back with textRowContent.
@@ -102,8 +102,9 @@ class StreamingSnapshotBuilder {
 
  private:
   // Optional-end-tag rules as bit tests: an open element is implicitly
-  // closed when (incoming.closeMask & open.openClass) != 0. Encodes
-  // parser.cpp's impliesEndOf; the differential suite pins the equivalence.
+  // closed when (incoming.closeMask & open.openClass) != 0. Encodes the
+  // reference tree builder's impliesEndOf (tests/oracle/html/parser.cpp);
+  // the differential suite pins the equivalence.
   enum ClassBit : std::uint8_t {
     kClassP = 1U << 0,
     kClassLi = 1U << 1,
@@ -120,7 +121,7 @@ class StreamingSnapshotBuilder {
     bool known = false;
     bool isVoid = false;
     bool headPlacement = false;  // head-content tags + script
-    bool headRawText = false;    // title/style/script (parser's head check)
+    bool headRawText = false;    // title/style/script (head raw text)
     bool rawTextTag = false;     // + textarea
     bool preformatted = false;   // pre/textarea
     bool scriptish = false;      // script/style/noscript
@@ -161,7 +162,7 @@ class StreamingSnapshotBuilder {
   // Resets the per-pass state and emits the document row into `snapshot`;
   // `page` may be null (no references collected).
   void begin(dom::TreeSnapshot& snapshot, StreamPageInfo* page,
-             std::string_view htmlText, const ParseOptions& options,
+             std::string_view htmlText,
              const provenance::ProvenanceMap* provenance);
   // Feeds tokens until the input ends or `rowLimit` rows exist.
   void consume(std::uint32_t rowLimit);
@@ -225,7 +226,6 @@ class StreamingSnapshotBuilder {
   // --- per-build state, reset by build() ---
   dom::TreeSnapshot* snap_ = nullptr;
   StreamPageInfo* page_ = nullptr;
-  const ParseOptions* options_ = nullptr;
   const provenance::ProvenanceMap* prov_ = nullptr;
   Tokenizer tokenizer_;
   Token token_;
@@ -253,14 +253,9 @@ class StreamingSnapshotBuilder {
   dom::TreeSnapshot scanRows_;
 };
 
-// Reference twin of the streaming page-info collection, over a parsed tree.
-// Used by the reference (dom::Node) browser mode and by the differential
-// tests to pin StreamPageInfo against the tree-walking implementation.
-StreamPageInfo collectPageInfo(const dom::Node& document);
-
 // One-shot convenience for tests and tools (constructs a fresh builder).
 StreamParseResult buildSnapshotStreaming(
-    std::string_view htmlText, const ParseOptions& options = {},
+    std::string_view htmlText,
     const provenance::ProvenanceMap* provenance = nullptr);
 
 }  // namespace cookiepicker::html

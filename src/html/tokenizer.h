@@ -2,10 +2,11 @@
 //
 // A lenient, single-pass tokenizer in the spirit of the WHATWG algorithm but
 // much smaller: it produces the token stream both tree producers consume —
-// the reference TreeBuilder (parser.h) and the streaming snapshot builder
-// (stream_snapshot.h). Robust against malformed markup — unterminated tags,
-// bare '<', stray '>', bogus comments — because the paper's pipeline depends
-// on both page versions being tokenized by the *same* forgiving code path.
+// the streaming snapshot builder (stream_snapshot.h) and the reference tree
+// builder of the test oracle (tests/oracle/). Robust against malformed
+// markup — unterminated tags, bare '<', stray '>', bogus comments —
+// because the paper's pipeline depends on both page versions being
+// tokenized by the *same* forgiving code path.
 //
 // Tokens are views. A token's name, text and attribute names/values are
 // std::string_views into the input whenever the bytes are used as written.

@@ -46,11 +46,12 @@ struct Exchange {
   const char* injectedFault = nullptr;
 };
 
-// One hidden fetch's retry settings, as both retry loops read them: the
+// Hidden-fetch retry settings, as both retry loops read them: the
 // browser's virtual-clock loop and the transports that run the loop
-// themselves. browser::toRetrySpec derives it from the session's
-// RetryPolicy. `retryBudget` is the *remaining* session budget — at most
-// that many attempts beyond each first try.
+// themselves. The browser keeps one for its session and hands it to
+// dispatchWithRetry as is. `retryBudget` is the *remaining* session budget —
+// at most that many attempts beyond each first try — and the browser counts
+// it down as retries are spent.
 struct RetrySpec {
   int maxAttempts = 1;
   double initialBackoffMs = 400.0;

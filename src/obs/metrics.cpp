@@ -78,8 +78,6 @@ constexpr GaugeMerge kGaugeMerges[kGaugeCount] = {
 };
 
 constexpr const char* kTimerNames[kTimerCount] = {
-    "html_parse",
-    "snapshot_build",
     "stream_build",
     "rstm_dp",
     "cvce_extract",

@@ -139,9 +139,7 @@ enum class GaugeMerge { Sum, Max };
 
 // Timing histograms — the pipeline phases the spans instrument.
 enum class Timer : std::uint8_t {
-  HtmlParse,      // html::parseHtml of a container/hidden document
-  SnapshotBuild,  // dom::TreeSnapshot construction from a dom::Node tree
-  StreamBuild,    // streaming tokenizer→snapshot build (no dom::Node pass)
+  StreamBuild,    // streaming tokenizer→snapshot build or page-info scan
   RstmDp,         // nTreeSim (the RSTM dynamic program + node counts)
   CvceExtract,    // context-content extraction
   CvceMerge,      // nTextSim set/feature merge

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "html/parser.h"
 #include "net/cookie_parse.h"
 #include "util/stats.h"
 #include "server/generator.h"
@@ -11,26 +14,78 @@ namespace {
 
 using testsupport::SimWorld;
 
-// One RetryPolicy → RetrySpec mapping: every knob carries over and the
-// budget is what the session has left.
+// A transport that owns retry timing, as the socket transport does: it
+// answers through the network and records the retry settings each hidden
+// fetch hands it, reporting `retriesPerFetch` retries spent on each.
+class RetryRecordingTransport : public net::Transport {
+ public:
+  explicit RetryRecordingTransport(net::Transport& inner) : inner_(inner) {}
+
+  net::Exchange dispatch(const net::HttpRequest& request) override {
+    return inner_.dispatch(request);
+  }
+  bool ownsRetryTiming() const override { return true; }
+  net::FetchOutcome dispatchWithRetry(const net::HttpRequest& request,
+                                      const net::RetrySpec& retry) override {
+    received.push_back(retry);
+    net::FetchOutcome outcome;
+    outcome.exchange = inner_.dispatch(request);
+    outcome.totalLatencyMs = outcome.exchange.latencyMs;
+    outcome.attempts = retriesPerFetch + 1;
+    outcome.retriesUsed = retriesPerFetch;
+    return outcome;
+  }
+
+  std::vector<net::RetrySpec> received;
+  int retriesPerFetch = 0;
+
+ private:
+  net::Transport& inner_;
+};
+
+// The session's one retry spec reaches the transport as set: every setting
+// carries over, and the budget is what the session has left, down to 0.
 TEST(Browser, RetrySpecCarriesPolicyAndRemainingBudget) {
-  RetryPolicy policy;
-  policy.maxAttempts = 4;
-  policy.initialBackoffMs = 100.0;
-  policy.backoffMultiplier = 3.0;
-  policy.maxBackoffMs = 900.0;
-  policy.jitterFraction = 0.5;
-  policy.sessionRetryBudget = 10;
-  const net::RetrySpec fresh = toRetrySpec(policy, 0);
-  EXPECT_EQ(fresh.maxAttempts, 4);
-  EXPECT_EQ(fresh.initialBackoffMs, 100.0);
-  EXPECT_EQ(fresh.backoffMultiplier, 3.0);
-  EXPECT_EQ(fresh.maxBackoffMs, 900.0);
-  EXPECT_EQ(fresh.jitterFraction, 0.5);
-  EXPECT_EQ(fresh.retryBudget, 10u);
-  EXPECT_EQ(toRetrySpec(policy, 7).retryBudget, 3u);
-  EXPECT_EQ(toRetrySpec(policy, 10).retryBudget, 0u);
-  EXPECT_EQ(toRetrySpec(policy, 12).retryBudget, 0u);
+  SimWorld world;
+  const auto spec = world.addGenericSite("shop.example");
+  RetryRecordingTransport transport(world.network);
+  Browser browser(transport, world.clock);
+  const net::RetrySpec defaults = browser.hiddenRetrySpec();
+  EXPECT_EQ(defaults.maxAttempts, 3);
+  EXPECT_EQ(defaults.initialBackoffMs, 400.0);
+  EXPECT_EQ(defaults.backoffMultiplier, 2.0);
+  EXPECT_EQ(defaults.maxBackoffMs, 6400.0);
+  EXPECT_EQ(defaults.jitterFraction, 0.25);
+  EXPECT_EQ(defaults.retryBudget, 256u);
+
+  net::RetrySpec retry;
+  retry.maxAttempts = 4;
+  retry.initialBackoffMs = 100.0;
+  retry.backoffMultiplier = 3.0;
+  retry.maxBackoffMs = 900.0;
+  retry.jitterFraction = 0.5;
+  retry.retryBudget = 10;
+  browser.setHiddenRetrySpec(retry);
+  const PageView view = browser.visit(world.urlFor(spec));
+  transport.retriesPerFetch = 3;
+  for (int fetch = 0; fetch < 5; ++fetch) {
+    browser.hiddenFetch(view, [](const cookies::CookieRecord& record) {
+      return record.persistent;
+    });
+  }
+  const std::uint64_t budgets[] = {10, 7, 4, 1, 0};
+  ASSERT_EQ(transport.received.size(), std::size(budgets));
+  for (std::size_t i = 0; i < std::size(budgets); ++i) {
+    const net::RetrySpec& seen = transport.received[i];
+    EXPECT_EQ(seen.maxAttempts, 4);
+    EXPECT_EQ(seen.initialBackoffMs, 100.0);
+    EXPECT_EQ(seen.backoffMultiplier, 3.0);
+    EXPECT_EQ(seen.maxBackoffMs, 900.0);
+    EXPECT_EQ(seen.jitterFraction, 0.5);
+    EXPECT_EQ(seen.retryBudget, budgets[i]) << "fetch " << i;
+  }
+  EXPECT_EQ(browser.hiddenRetrySpec().retryBudget, 0u);
+  EXPECT_EQ(browser.hiddenRetriesUsed(), 15u);
 }
 
 TEST(Browser, VisitBuildsStreamingSnapshot) {
@@ -38,40 +93,30 @@ TEST(Browser, VisitBuildsStreamingSnapshot) {
   const auto spec = world.addGenericSite("shop.example");
   const PageView view = world.browser.visit(world.urlFor(spec));
   EXPECT_EQ(view.status, 200);
-  // Streaming mode (the default): snapshot only, no node tree.
-  EXPECT_EQ(view.document, nullptr);
   ASSERT_NE(view.snapshot, nullptr);
   EXPECT_GT(view.snapshot->nodeCount(), 0u);
   EXPECT_GT(view.snapshot->comparisonRootIndex(), 0u);  // found <body>
   EXPECT_EQ(view.url.host(), "shop.example");
 }
 
-TEST(Browser, ReferenceModeParsesContainerIntoDom) {
+// The view's snapshot and resolved subresources equal what the reference
+// tree builder makes of the same container bytes.
+TEST(Browser, StreamingAndReferenceModesAgree) {
   SimWorld world;
-  world.browser.setDomMode(DomMode::Reference);
   const auto spec = world.addGenericSite("shop.example");
   const PageView view = world.browser.visit(world.urlFor(spec));
-  EXPECT_EQ(view.status, 200);
-  ASSERT_NE(view.document, nullptr);
-  EXPECT_NE(view.document->findFirst("body"), nullptr);
-  EXPECT_EQ(view.url.host(), "shop.example");
-}
-
-TEST(Browser, StreamingAndReferenceModesAgree) {
-  SimWorld streaming;
-  SimWorld reference;
-  reference.browser.setDomMode(DomMode::Reference);
-  const auto specA = streaming.addGenericSite("shop.example");
-  const auto specB = reference.addGenericSite("shop.example");
-  const PageView a = streaming.browser.visit(streaming.urlFor(specA));
-  const PageView b = reference.browser.visit(reference.urlFor(specB));
-  ASSERT_NE(a.snapshot, nullptr);
-  ASSERT_NE(b.snapshot, nullptr);
-  // Identical snapshot arrays and identical resolved subresource lists.
-  testsupport::expectSnapshotsIdentical(*a.snapshot, *b.snapshot);
-  ASSERT_EQ(a.subresources.size(), b.subresources.size());
-  for (std::size_t i = 0; i < a.subresources.size(); ++i) {
-    EXPECT_EQ(a.subresources[i].toString(), b.subresources[i].toString());
+  ASSERT_NE(view.snapshot, nullptr);
+  const auto document = html::parseHtml(view.containerHtml);
+  testsupport::expectSnapshotsIdentical(dom::flattenTree(*document),
+                                        *view.snapshot);
+  const html::StreamPageInfo page = html::collectPageInfo(*document);
+  const net::Url base =
+      page.baseHref.empty() ? view.url : view.url.resolve(page.baseHref);
+  ASSERT_EQ(view.subresources.size(), page.subresourceRefs.size());
+  EXPECT_GT(view.subresources.size(), 0u);
+  for (std::size_t i = 0; i < view.subresources.size(); ++i) {
+    EXPECT_EQ(view.subresources[i].toString(),
+              base.resolve(page.subresourceRefs[i]).toString());
   }
 }
 
@@ -132,16 +177,6 @@ TEST(Browser, LazySnapshotEqualsEagerSnapshotAfterRedirect) {
   spec.redirectEntry = true;
   expectLazyEqualsEager(spec, "http://redir.example/", false);
   expectLazyEqualsEager(spec, "http://redir.example/", true);
-}
-
-TEST(Browser, ReferenceModeIgnoresTheSnapshotFlag) {
-  SimWorld world;
-  world.browser.setDomMode(DomMode::Reference);
-  const auto spec = world.addGenericSite("shop.example");
-  const PageView view = world.browser.visit(urlOf(world.urlFor(spec)), false);
-  ASSERT_NE(view.document, nullptr);
-  ASSERT_NE(view.snapshot, nullptr);
-  EXPECT_EQ(world.browser.snapshotOf(view), view.snapshot);
 }
 
 TEST(Browser, VisitFetchesSubresources) {
@@ -239,8 +274,6 @@ TEST(Browser, HiddenFetchStripsSelectedPersistentCookies) {
 
 TEST(Browser, HiddenFetchKeepsSessionCookies) {
   SimWorld world;
-  // Reference mode: this test reads text out of the hidden node tree.
-  world.browser.setDomMode(DomMode::Reference);
   auto spec = server::makeGenericSpec("C", "cart.example", 6);
   spec.sessionCart = true;
   world.addSite(spec);
@@ -250,7 +283,7 @@ TEST(Browser, HiddenFetchKeepsSessionCookies) {
       view,
       [](const cookies::CookieRecord& record) { return record.persistent; });
   // The rendered hidden page still shows the session cart.
-  EXPECT_NE(hidden.document->textContent().find("Cart items"),
+  EXPECT_NE(html::parseHtml(hidden.html)->textContent().find("Cart items"),
             std::string::npos);
   for (const auto& key : hidden.strippedCookies) {
     EXPECT_NE(key.name, "cart");

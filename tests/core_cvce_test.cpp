@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cvce.h"
+#include "core/node_detection.h"
 #include "core/rstm.h"
 #include "html/parser.h"
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/decision.h"
+#include "core/node_detection.h"
 #include "html/parser.h"
 
 namespace cookiepicker::core {

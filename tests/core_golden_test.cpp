@@ -5,6 +5,7 @@
 
 #include "core/cvce.h"
 #include "core/decision.h"
+#include "core/node_detection.h"
 #include "core/rstm.h"
 #include "core/stm.h"
 #include "dom/builder.h"

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/node_detection.h"
 #include "core/rstm.h"
 #include "core/stm.h"
 #include "dom/builder.h"

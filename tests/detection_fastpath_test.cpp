@@ -14,6 +14,7 @@
 
 #include "core/cvce.h"
 #include "core/decision.h"
+#include "core/node_detection.h"
 #include "core/rstm.h"
 #include "dom/interner.h"
 #include "dom/node.h"
@@ -227,8 +228,8 @@ TEST_P(FastPathDifferential, RandomTreePairsBitIdentical) {
     auto mutated = treeA->clone();
     mutate(*mutated, rng);
     for (const Node* treeB : {independent.get(), mutated.get()}) {
-      const dom::TreeSnapshot sa(*treeA);
-      const dom::TreeSnapshot sb(*treeB);
+      const dom::TreeSnapshot sa = dom::flattenTree(*treeA);
+      const dom::TreeSnapshot sb = dom::flattenTree(*treeB);
       expectTreeMetricsIdentical(*treeA, *treeB, sa, sb, arena);
       expectTextMetricsIdentical(*treeA, *treeB, sa, sb, scratch);
     }
@@ -248,8 +249,8 @@ TEST_P(FastPathDifferential, ParsedHtmlDecisionsMatch) {
     }
     const auto docA = html::parseHtml(htmlA);
     const auto docB = html::parseHtml(htmlB);
-    const dom::TreeSnapshot sa(*docA);
-    const dom::TreeSnapshot sb(*docB);
+    const dom::TreeSnapshot sa = dom::flattenTree(*docA);
+    const dom::TreeSnapshot sb = dom::flattenTree(*docB);
     for (const core::DecisionMode mode :
          {core::DecisionMode::Both, core::DecisionMode::TreeOnly,
           core::DecisionMode::TextOnly, core::DecisionMode::Either}) {

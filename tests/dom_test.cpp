@@ -3,6 +3,7 @@
 #include "dom/builder.h"
 #include "dom/node.h"
 #include "dom/serialize.h"
+#include "html/tags.h"
 
 namespace cookiepicker::dom {
 namespace {
@@ -138,11 +139,11 @@ TEST(Preorder, ReturningFalsePrunesSubtree) {
 }
 
 TEST(NonVisualTags, ScriptAndStyleAreNonVisual) {
-  EXPECT_TRUE(isNonVisualTag("script"));
-  EXPECT_TRUE(isNonVisualTag("style"));
-  EXPECT_TRUE(isNonVisualTag("head"));
-  EXPECT_FALSE(isNonVisualTag("div"));
-  EXPECT_FALSE(isNonVisualTag("img"));
+  EXPECT_TRUE(html::isNonVisualTag("script"));
+  EXPECT_TRUE(html::isNonVisualTag("style"));
+  EXPECT_TRUE(html::isNonVisualTag("head"));
+  EXPECT_FALSE(html::isNonVisualTag("div"));
+  EXPECT_FALSE(html::isNonVisualTag("img"));
 }
 
 // --- builder ---------------------------------------------------------------

@@ -1,13 +1,13 @@
 // Differential suite for audit evidence. The snapshot evidence FORCUM
-// attaches to cookie-caused audit records must equal the dom::Node oracle
+// attaches to cookie-caused audit records must equal the node-tree oracle
 // (parse both copies, diff the node trees) list for list, byte for byte.
 //
 // Two sources of page pairs:
 //  * every cookie-caused audited FORCUM step over both paper rosters, with
-//    and without the consistency re-probe, in both browser DOM modes. A
-//    recording transport keeps the exact container and hidden bytes each
-//    step compared, and the step's audit record must carry the oracle's
-//    lists for those bytes;
+//    and without the consistency re-probe. A recording transport keeps the
+//    exact container and hidden bytes each step compared, and the step's
+//    audit record must carry the oracle's lists for those bytes, as must
+//    the snapshot evidence over the oracle's flattened trees of them;
 //  * the snapshot differential's document generator and mutators, at
 //    several restriction levels and item caps. COOKIEPICKER_FUZZ scales
 //    the trial count (tools/check.sh fuzz-thread / fuzz-address).
@@ -23,6 +23,7 @@
 #include "browser/browser.h"
 #include "core/cookie_picker.h"
 #include "core/explain.h"
+#include "core/node_detection.h"
 #include "dom/snapshot.h"
 #include "fuzz_documents.h"
 #include "html/parser.h"
@@ -77,7 +78,6 @@ struct RosterCase {
   const char* name;
   bool table1;
   bool reprobe;
-  browser::DomMode mode;
 };
 
 void PrintTo(const RosterCase& param, std::ostream* out) { *out << param.name; }
@@ -102,13 +102,13 @@ TEST_P(EvidenceDifferential, CookieCausedStepsMatchOracle) {
     browser::Browser browser(transport, clock,
                              cookies::CookiePolicy::recommended(),
                              kSeed ^ util::fnv1a64(spec.domain));
-    browser.setDomMode(param.mode);
     core::CookiePickerConfig config;
     config.forcum.consistencyReprobe = param.reprobe;
     core::CookiePicker picker(browser, config);
     obs::MetricsRegistry metrics;
     obs::AuditTrail audit;
     obs::ScopedObsSession scope(&metrics, &audit);
+    core::EvidenceScratch scratch;
 
     const int pages = std::max(1, spec.pageCount);
     for (int view = 0; view < kViews; ++view) {
@@ -138,6 +138,14 @@ TEST_P(EvidenceDifferential, CookieCausedStepsMatchOracle) {
                 oracle.structureOnlyInHidden);
       EXPECT_EQ(record->evidenceTextRegular, oracle.textOnlyInRegular);
       EXPECT_EQ(record->evidenceTextHidden, oracle.textOnlyInHidden);
+      // The same evidence from the oracle's own snapshot rows of the bytes.
+      const dom::TreeSnapshot regularRows = dom::flattenTree(*regular);
+      const dom::TreeSnapshot hiddenRows = dom::flattenTree(*hidden);
+      core::DifferenceExplanation flattened;
+      core::collectDifferenceEvidence({regularRows, transport.container},
+                                      {hiddenRows, transport.hidden.front()},
+                                      options, scratch, flattened);
+      expectSameLists(oracle, flattened);
       ++compared;
     }
   }
@@ -147,19 +155,10 @@ TEST_P(EvidenceDifferential, CookieCausedStepsMatchOracle) {
 
 INSTANTIATE_TEST_SUITE_P(
     Rosters, EvidenceDifferential,
-    ::testing::Values(
-        RosterCase{"Table1Streaming", true, false, browser::DomMode::Streaming},
-        RosterCase{"Table1Reprobe", true, true, browser::DomMode::Streaming},
-        RosterCase{"Table1Reference", true, false, browser::DomMode::Reference},
-        RosterCase{"Table1ReferenceReprobe", true, true,
-                   browser::DomMode::Reference},
-        RosterCase{"Table2Streaming", false, false,
-                   browser::DomMode::Streaming},
-        RosterCase{"Table2Reprobe", false, true, browser::DomMode::Streaming},
-        RosterCase{"Table2Reference", false, false,
-                   browser::DomMode::Reference},
-        RosterCase{"Table2ReferenceReprobe", false, true,
-                   browser::DomMode::Reference}),
+    ::testing::Values(RosterCase{"Table1Streaming", true, false},
+                      RosterCase{"Table1Reprobe", true, true},
+                      RosterCase{"Table2Streaming", false, false},
+                      RosterCase{"Table2Reprobe", false, true}),
     [](const ::testing::TestParamInfo<RosterCase>& info) {
       return std::string(info.param.name);
     });
@@ -171,8 +170,8 @@ class EvidenceDifferentialFuzz
 
 // Pairs a generated document with a mutation of itself or with another
 // document, and compares every list at restriction levels 1/3/5/8 and caps
-// 0/1/5/1000. The hidden side's snapshot comes from the node tree, as in
-// DomMode::Reference; the regular side's from the streaming builder.
+// 0/1/5/1000. The hidden side's snapshot comes from the oracle's flattened
+// node tree; the regular side's from the streaming builder.
 TEST_P(EvidenceDifferentialFuzz, GeneratedPairsMatchOracle) {
   util::Pcg32 rng(GetParam(), 35);
   core::EvidenceScratch scratch;  // reused: exercises scratch reuse
@@ -192,7 +191,7 @@ TEST_P(EvidenceDifferentialFuzz, GeneratedPairsMatchOracle) {
     const auto hiddenDocument = html::parseHtml(hiddenHtml);
     const auto regularSnapshot =
         html::buildSnapshotStreaming(regularHtml).snapshot;
-    const dom::TreeSnapshot hiddenSnapshot(*hiddenDocument);
+    const dom::TreeSnapshot hiddenSnapshot = dom::flattenTree(*hiddenDocument);
     for (const int level : {1, 3, 5, 8}) {
       for (const std::size_t maxItems : {0, 1, 5, 1000}) {
         core::ExplainOptions options;

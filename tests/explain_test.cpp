@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/explain.h"
+#include "core/node_detection.h"
 #include "html/parser.h"
 #include "html/stream_snapshot.h"
 

@@ -3,6 +3,7 @@
 #include "dom/serialize.h"
 #include "html/entities.h"
 #include "html/parser.h"
+#include "html/tags.h"
 #include "token_support.h"
 
 namespace cookiepicker::html {

@@ -192,7 +192,7 @@ INSTANTIATE_TEST_SUITE_P(
 //
 // Corpus format: each entry is {label, payload}. The label names the attack
 // class and shows up in failure messages; the payload is fed VERBATIM to
-// both producers — the reference pipeline (parseHtml → TreeSnapshot(Node) →
+// both producers — the reference pipeline (parseHtml → dom::flattenTree →
 // collectPageInfo) and the streaming pipeline (StreamingSnapshotBuilder) —
 // which must (a) not crash, hang, or trip a sanitizer, and (b) produce
 // byte-identical snapshots and page info. Entries that need runtime
@@ -273,7 +273,7 @@ std::vector<HostileDoc> hostileCorpus() {
 void expectPipelinesAgree(const HostileDoc& doc) {
   SCOPED_TRACE(doc.label);
   const auto document = parseHtml(doc.payload);
-  const dom::TreeSnapshot reference(*document);
+  const dom::TreeSnapshot reference = dom::flattenTree(*document);
   const StreamPageInfo referencePage = collectPageInfo(*document);
   const StreamParseResult streamed = buildSnapshotStreaming(doc.payload);
   ASSERT_NE(streamed.snapshot, nullptr);

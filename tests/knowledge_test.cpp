@@ -548,8 +548,8 @@ TEST(KnowledgeReprobation, NovelCookieDemotesInsteadOfServingStale) {
 // warms the visitor on its first view, so the views after it expect no
 // comparison and only scan their pages, until the site starts setting a
 // cookie the crowd never saw: that view resumes training and its step
-// decides on a snapshot built on demand. Jar, state and audit bytes equal
-// the same session in DomMode::Reference, where every view builds its
+// decides on a snapshot built on demand. Jar, state, audit and metrics
+// bytes equal an eager twin of the same session that builds every view's
 // snapshot at visit time.
 TEST(KnowledgeReprobation, ResumedTrainingDecidesOnAnOnDemandSnapshot) {
   const auto oldSpec = server::makeGenericSpec("T", kDiffHost, 7);
@@ -569,10 +569,9 @@ TEST(KnowledgeReprobation, ResumedTrainingDecidesOnAnOnDemandSnapshot) {
     int onDemandDecisions = 0;  // decided on a view visited without snapshot
     obs::MetricsSnapshot metrics;
   };
-  const auto run = [&](browser::DomMode mode) {
+  const auto run = [&](bool eagerSnapshots) {
     SimWorld world;
     world.addSite(oldSpec);
-    world.browser.setDomMode(mode);
     core::CookiePickerConfig config = fastTrainingConfig();
     config.sharedKnowledge = &shared;
     core::CookiePicker picker(world.browser, config);
@@ -584,9 +583,15 @@ TEST(KnowledgeReprobation, ResumedTrainingDecidesOnAnOnDemandSnapshot) {
       for (int view = 0; view < kDiffViews; ++view) {
         if (view == kChangeAtView) world.addSite(newSpec);
         const bool eager = picker.forcum().mayCompare(kDiffHost);
-        const core::ForcumStepReport report = picker.browse(
-            "http://" + std::string(kDiffHost) + "/page" +
-            std::to_string(view % oldSpec.pageCount));
+        const std::string url = "http://" + std::string(kDiffHost) + "/page" +
+                                std::to_string(view % oldSpec.pageCount);
+        core::ForcumStepReport report;
+        if (eagerSnapshots) {
+          report = picker.onPageLoaded(world.browser.visit(url));
+          world.browser.think();
+        } else {
+          report = picker.browse(url);
+        }
         if (!eager && report.hiddenRequestSent && !report.skipped) {
           ++session.onDemandDecisions;
         }
@@ -600,24 +605,30 @@ TEST(KnowledgeReprobation, ResumedTrainingDecidesOnAnOnDemandSnapshot) {
     return session;
   };
 
-  const Session streaming = run(browser::DomMode::Streaming);
-  const Session reference = run(browser::DomMode::Reference);
-  EXPECT_EQ(streaming.outcome, core::KnowledgeOutcome::Warm);
-  EXPECT_EQ(streaming.onDemandDecisions, 1);
-  EXPECT_FALSE(streaming.audit.empty());
-  EXPECT_NE(streaming.jar.find("acctid"), std::string::npos);
+  const Session onDemand = run(false);
+  const Session eager = run(true);
+  EXPECT_EQ(onDemand.outcome, core::KnowledgeOutcome::Warm);
+  EXPECT_EQ(onDemand.onDemandDecisions, 1);
+  EXPECT_FALSE(onDemand.audit.empty());
+  EXPECT_NE(onDemand.jar.find("acctid"), std::string::npos);
   // Every view runs one stream pass (a build or a scan) and every hidden
-  // copy a build; the view that resumed training added exactly one more.
-  const obs::MetricsSnapshot& metrics = streaming.metrics;
-  EXPECT_EQ(metrics.timer(obs::Timer::StreamBuild).count,
-            metrics.counter(obs::Counter::PagesVisited) +
-                metrics.counter(obs::Counter::HiddenFetches) + 1);
+  // copy a build; the view that resumed training added exactly one more,
+  // which the eager twin built at visit time.
+  const auto extraPasses = [](const obs::MetricsSnapshot& metrics) {
+    return metrics.timer(obs::Timer::StreamBuild).count -
+           metrics.counter(obs::Counter::PagesVisited) -
+           metrics.counter(obs::Counter::HiddenFetches);
+  };
+  EXPECT_EQ(extraPasses(onDemand.metrics), 1u);
+  EXPECT_EQ(extraPasses(eager.metrics), 0u);
+  EXPECT_EQ(eager.onDemandDecisions, 1);
 
-  EXPECT_EQ(streaming.jar, reference.jar);
-  EXPECT_EQ(streaming.state, reference.state);
-  EXPECT_EQ(streaming.audit, reference.audit);
-  EXPECT_EQ(streaming.metrics.deterministicJson(),
-            reference.metrics.deterministicJson());
+  EXPECT_EQ(onDemand.outcome, eager.outcome);
+  EXPECT_EQ(onDemand.jar, eager.jar);
+  EXPECT_EQ(onDemand.state, eager.state);
+  EXPECT_EQ(onDemand.audit, eager.audit);
+  EXPECT_EQ(onDemand.metrics.deterministicJson(),
+            eager.metrics.deterministicJson());
 }
 
 TEST(KnowledgeReprobation, EpochGuardHoldsUnderConcurrentDemoteAndMerge) {

@@ -19,6 +19,7 @@
 #include "browser/browser.h"
 #include "core/decision.h"
 #include "core/explain.h"
+#include "core/node_detection.h"
 #include "fleet/fleet.h"
 #include "html/parser.h"
 #include "html/stream_snapshot.h"

@@ -12,6 +12,7 @@
 #include "browser/browser.h"
 #include "core/cookie_picker.h"
 #include "core/cvce.h"
+#include "core/node_detection.h"
 #include "core/rstm.h"
 #include "core/stm.h"
 #include "dom/builder.h"

@@ -226,8 +226,8 @@ TEST(ProvenanceSnapshot, StreamingStampsMatchReferenceTree) {
   map.setLabelNames({"alpha", "beta"});
   map.normalize();
 
-  const dom::TreeSnapshot reference(*document, true);
-  const auto streamed = html::buildSnapshotStreaming(htmlText, {}, &map);
+  const dom::TreeSnapshot reference = dom::flattenTree(*document, true);
+  const auto streamed = html::buildSnapshotStreaming(htmlText, &map);
   ASSERT_NE(streamed.snapshot, nullptr);
   const dom::TreeSnapshot& streaming = *streamed.snapshot;
 

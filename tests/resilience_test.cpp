@@ -71,10 +71,10 @@ TEST(HiddenRetry, SessionBudgetCapsRetries) {
   picker.browse(world.urlFor(spec));
   const browser::PageView goodView = world.browser.visit(world.urlFor(spec));
 
-  browser::RetryPolicy policy;
-  policy.maxAttempts = 4;
-  policy.sessionRetryBudget = 1;
-  world.browser.setHiddenRetryPolicy(policy);
+  net::RetrySpec retry = world.browser.hiddenRetrySpec();
+  retry.maxAttempts = 4;
+  retry.retryBudget = 1;
+  world.browser.setHiddenRetrySpec(retry);
   world.network.setFaultPlan(
       planOf("rule scope=hidden action=connection-drop"));
   obs::MetricsRegistry metrics;

@@ -5,6 +5,7 @@
 
 #include "core/cookie_picker.h"
 #include "core/cvce.h"
+#include "core/node_detection.h"
 #include "core/rstm.h"
 #include "faults/fault_plan.h"
 #include "html/parser.h"

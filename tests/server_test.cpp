@@ -2,6 +2,7 @@
 
 #include "core/cvce.h"
 #include "core/decision.h"
+#include "core/node_detection.h"
 #include "core/rstm.h"
 #include "html/parser.h"
 #include "dom/serialize.h"

@@ -2,7 +2,7 @@
 //
 // The streaming builder (html/stream_snapshot.h) must produce *byte-identical*
 // output to the reference pipeline — parseHtml into a dom::Node tree, then
-// TreeSnapshot(root) — for any input whatsoever: every preorder row (symbol,
+// dom::flattenTree(root) — for any input whatsoever: every preorder row (symbol,
 // subtree extent, level, flags, text hash), the CSR child spans, the
 // comparison root, the collected page info (from the build and from the
 // scan-only pass), and every downstream RSTM/CVCE similarity computed from
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/decision.h"
+#include "core/node_detection.h"
 #include "dom/interner.h"
 #include "dom/node.h"
 #include "dom/snapshot.h"
@@ -57,7 +58,8 @@ struct ReferenceParse {
 ReferenceParse referenceParse(const std::string& htmlText) {
   ReferenceParse result;
   result.document = html::parseHtml(htmlText);
-  result.snapshot = std::make_shared<const dom::TreeSnapshot>(*result.document);
+  result.snapshot = std::make_shared<const dom::TreeSnapshot>(
+      dom::flattenTree(*result.document));
   result.page = html::collectPageInfo(*result.document);
   return result;
 }

@@ -64,8 +64,7 @@ class SnapshotFolder : public pin::PageVisitor {
  private:
   void foldPage(std::string_view html,
                 const provenance::ProvenanceMap* provenance) {
-    const StreamParseResult result =
-        buildSnapshotStreaming(html, {}, provenance);
+    const StreamParseResult result = buildSnapshotStreaming(html, provenance);
     const dom::TreeSnapshot& snapshot = *result.snapshot;
     ++hashes.pages;
     if (snapshot.hasProvenance()) ++hashes.taintedPages;

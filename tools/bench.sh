@@ -13,7 +13,8 @@
 # cost a fixed ~0.5-0.8us against a ~10us step, so the ratio floats with
 # machine speed and 0.95 had near-zero margin), and (d) the streaming
 # tokenizer→snapshot pipeline processing pages at least MIN_STREAM_RATIO
-# (default 3) times faster than the reference parseHtml + TreeSnapshot pass,
+# (default 3) times faster than the test oracle's reference tree builder
+# plus tree flattener,
 # and (e) the audit evidence of a cookie-caused step, computed from the
 # snapshots, running at least MIN_EVIDENCE_SPEEDUP (default 2) times faster
 # than the oracle that parses both copies and diffs node trees (the bench

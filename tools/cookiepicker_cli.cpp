@@ -515,10 +515,9 @@ int runStats(const Options& options) {
                 static_cast<long long>(metrics.gauges[i]));
   }
 
-  const obs::Timer leafPhases[] = {
-      obs::Timer::HtmlParse,   obs::Timer::SnapshotBuild,
-      obs::Timer::StreamBuild, obs::Timer::RstmDp,
-      obs::Timer::CvceExtract, obs::Timer::CvceMerge};
+  const obs::Timer leafPhases[] = {obs::Timer::StreamBuild, obs::Timer::RstmDp,
+                                    obs::Timer::CvceExtract,
+                                    obs::Timer::CvceMerge};
   double leafTotalMs = 0.0;
   for (const obs::Timer timer : leafPhases) {
     leafTotalMs += metrics.timer(timer).totalMs();
