@@ -7,6 +7,7 @@
 
 #include "obs/recorder.h"
 #include "util/log.h"
+#include "util/strings.h"
 
 namespace cookiepicker::browser {
 
@@ -34,28 +35,27 @@ net::HttpRequest Browser::buildRequest(const net::Url& url,
   request.method = "GET";
   request.url = url;
   request.kind = kind;
-  request.headers.set("User-Agent", "CookiePickerSim/1.0 (Firefox/1.5 model)");
-  request.headers.set("Accept", "text/html,*/*");
+  // The fixed lines in wire order, then the cookies: appended, never
+  // looked up, into room for all four.
+  request.headers.reserve(4);
+  request.headers.add("User-Agent", "CookiePickerSim/1.0 (Firefox/1.5 model)");
+  request.headers.add("Accept", "text/html,*/*");
   // Container documents only: subresources carry no markup to attribute,
   // and the header must stay off the wire entirely when provenance is off.
   if (wantProvenance_ && kind != net::RequestKind::Subresource) {
-    request.headers.set(provenance::kWantProvenanceHeader, "1");
+    request.headers.add(provenance::kWantProvenanceHeader, "1");
   }
 
-  cookies::SendOptions options;
+  // Third-party cookies disabled: send none to third-party hosts.
+  static const cookies::SendOptions kSendNone{.includeSession = false,
+                                              .includePersistent = false,
+                                              .excludePersistentIf = nullptr};
   const bool firstParty = cookies::isFirstParty(url, documentUrl);
-  if (!firstParty && !policy_.acceptThirdParty) {
-    // Third-party cookies disabled: send none to third-party hosts.
-    options.includeSession = false;
-    options.includePersistent = false;
-  }
-  if (persistentSendFilter_) {
-    options.excludePersistentIf = persistentSendFilter_;
-  }
-  const std::string cookieHeader =
-      jar_.cookieHeaderFor(url, clock_.nowMs(), options);
+  const cookies::SendOptions& options =
+      !firstParty && !policy_.acceptThirdParty ? kSendNone : sendOptions_;
+  std::string cookieHeader = jar_.cookieHeaderFor(url, clock_.nowMs(), options);
   if (!cookieHeader.empty()) {
-    request.headers.set("Cookie", cookieHeader);
+    request.headers.add("Cookie", std::move(cookieHeader));
   }
   return request;
 }
@@ -64,8 +64,9 @@ void Browser::storeResponseCookies(const net::HttpResponse& response,
                                    const net::Url& requestUrl,
                                    const net::Url& documentUrl) {
   const bool firstParty = cookies::isFirstParty(requestUrl, documentUrl);
-  for (const std::string& header : response.setCookieHeaders()) {
-    const auto parsed = net::parseSetCookie(header);
+  for (const net::HeaderMap::Entry& entry : response.headers.entries()) {
+    if (!util::equalsIgnoreCase(entry.name, "Set-Cookie")) continue;
+    const auto parsed = net::parseSetCookie(entry.value);
     if (!parsed.has_value()) continue;
     const bool persistent =
         parsed->maxAgeSeconds.has_value() ||

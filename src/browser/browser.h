@@ -111,9 +111,11 @@ class Browser {
   // ("no longer be transmitted to the corresponding Web site").
   void setPersistentSendFilter(
       std::function<bool(const cookies::CookieRecord&)> filter) {
-    persistentSendFilter_ = std::move(filter);
+    sendOptions_.excludePersistentIf = std::move(filter);
   }
-  void clearPersistentSendFilter() { persistentSendFilter_ = nullptr; }
+  void clearPersistentSendFilter() {
+    sendOptions_.excludePersistentIf = nullptr;
+  }
 
   // Simulates the user pausing between page views; advances the clock.
   double think();
@@ -204,7 +206,10 @@ class Browser {
   cookies::CookieJar jar_;
   util::Pcg32 rng_;
   ThinkTimeModel thinkTime_;
-  std::function<bool(const cookies::CookieRecord&)> persistentSendFilter_;
+  // What a first-party (or any, when third-party cookies are accepted)
+  // request sends: everything but what the persistent send filter holds
+  // back.
+  cookies::SendOptions sendOptions_;
   bool wantProvenance_ = false;
   // Retained across page loads: its scratch (token buffers, open stack,
   // per-tag info cache) makes steady-state builds allocation-light.

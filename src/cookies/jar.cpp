@@ -1,6 +1,8 @@
 #include "cookies/jar.h"
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
 
 #include "obs/recorder.h"
 #include "util/strings.h"
@@ -25,6 +27,30 @@ void appendCookieLine(std::string& out, const CookieKey& key,
             record.useful ? "1" : "0"});
 }
 
+// a * b and a + b, clamped to the SimTimeMs range instead of overflowing:
+// a lifetime too long for the millisecond clock ends at its last tick.
+util::SimTimeMs saturatingMul(std::int64_t a, std::int64_t b) {
+  util::SimTimeMs product = 0;
+  if (!__builtin_mul_overflow(a, b, &product)) return product;
+  return (a < 0) != (b < 0) ? std::numeric_limits<util::SimTimeMs>::min()
+                            : std::numeric_limits<util::SimTimeMs>::max();
+}
+
+util::SimTimeMs saturatingAdd(std::int64_t a, std::int64_t b) {
+  util::SimTimeMs sum = 0;
+  if (!__builtin_add_overflow(a, b, &sum)) return sum;
+  return b < 0 ? std::numeric_limits<util::SimTimeMs>::min()
+               : std::numeric_limits<util::SimTimeMs>::max();
+}
+
+// A whole field as a decimal integer, as FORCUM's parseCount reads counts:
+// no sign but '-', no trailing bytes.
+bool parseWholeInt64(std::string_view field, std::int64_t& value) {
+  const char* end = field.data() + field.size();
+  const auto [last, error] = std::from_chars(field.data(), end, value);
+  return error == std::errc() && last == end;
+}
+
 // Escaped "name|domain|path" — the WAL's jar record key, matching the
 // FORCUM state format's cookie-key rendering.
 std::string cookieStateKey(const CookieKey& key) {
@@ -39,10 +65,10 @@ std::string cookieStateKey(const CookieKey& key) {
 
 }  // namespace
 
-std::string defaultCookiePath(const net::Url& url) {
-  const std::string& path = url.path();
+std::string_view defaultCookiePath(const net::Url& url) {
+  const std::string_view path = url.path();
   const std::size_t lastSlash = path.rfind('/');
-  if (lastSlash == std::string::npos || lastSlash == 0) return "/";
+  if (lastSlash == std::string_view::npos || lastSlash == 0) return "/";
   return path.substr(0, lastSlash);
 }
 
@@ -94,48 +120,40 @@ void CookieJar::emitRemoveLocked(const CookieKey& key) {
 SetCookieOutcome CookieJar::store(const net::SetCookie& parsed,
                                   const net::Url& requestUrl, bool firstParty,
                                   util::SimTimeMs nowMs) {
-  CookieRecord record;
-  record.key.name = parsed.name;
-  record.value = parsed.value;
-
-  if (parsed.domain.has_value()) {
+  std::string_view domain = requestUrl.host();
+  const bool hostOnly = !parsed.domain.has_value();
+  if (!hostOnly) {
     // The declared domain must cover the request host, otherwise the cookie
     // is rejected (same rule browsers enforce).
     if (!net::hostMatchesDomain(requestUrl.host(), *parsed.domain)) {
       return SetCookieOutcome::Rejected;
     }
-    record.key.domain = *parsed.domain;
-    record.hostOnly = false;
-  } else {
-    record.key.domain = requestUrl.host();
-    record.hostOnly = true;
+    domain = *parsed.domain;
   }
-  record.key.path =
+  const std::string_view path =
       parsed.path.has_value() ? *parsed.path : defaultCookiePath(requestUrl);
 
-  record.secure = parsed.secure;
-  record.httpOnly = parsed.httpOnly;
-  record.firstParty = firstParty;
-  record.creationMs = nowMs;
-  record.lastAccessMs = nowMs;
-
   // Max-Age takes precedence over Expires; either makes it persistent.
+  bool persistent = false;
+  util::SimTimeMs expiryMs = 0;
   if (parsed.maxAgeSeconds.has_value()) {
-    record.persistent = true;
-    record.expiryMs = nowMs + *parsed.maxAgeSeconds * 1000;
+    persistent = true;
+    expiryMs =
+        saturatingAdd(nowMs, saturatingMul(*parsed.maxAgeSeconds, 1000));
   } else if (parsed.expiresEpochSeconds.has_value()) {
-    record.persistent = true;
-    record.expiryMs = *parsed.expiresEpochSeconds * 1000;
+    persistent = true;
+    expiryMs = saturatingMul(*parsed.expiresEpochSeconds, 1000);
   }
 
   std::lock_guard lock(mutex_);
-  const auto existing = cookies_.find(record.key);
+  const auto existing =
+      cookies_.find(KeyLess::Parts{parsed.name, domain, path});
   // An already-expired cookie (Max-Age <= 0 or past Expires) is a deletion
   // request.
-  if (record.persistent && record.expiryMs <= nowMs) {
+  if (persistent && expiryMs <= nowMs) {
     if (existing != cookies_.end()) {
+      emitRemoveLocked(existing->first);
       cookies_.erase(existing);
-      emitRemoveLocked(record.key);
       obs::gaugeSet(obs::Gauge::JarCookies,
                     static_cast<std::int64_t>(cookies_.size()));
       return SetCookieOutcome::Deleted;
@@ -144,22 +162,44 @@ SetCookieOutcome CookieJar::store(const net::SetCookie& parsed,
   }
 
   if (existing != cookies_.end()) {
-    // Preserve creation time and — critically for FORCUM — the useful mark.
-    record.creationMs = existing->second.creationMs;
-    record.useful = existing->second.useful;
-    existing->second = record;
+    // Updated in place. Creation time and — critically for FORCUM — the
+    // useful mark are kept.
+    CookieRecord& record = existing->second;
+    record.value.assign(parsed.value);
+    record.hostOnly = hostOnly;
+    record.secure = parsed.secure;
+    record.httpOnly = parsed.httpOnly;
+    record.persistent = persistent;
+    record.expiryMs = expiryMs;
+    record.lastAccessMs = nowMs;
+    record.firstParty = firstParty;
     emitUpsertLocked(record.key, record, store::RecordType::JarUpsert);
     return SetCookieOutcome::Updated;
   }
-  cookies_.emplace(record.key, record);
-  emitUpsertLocked(record.key, record, store::RecordType::JarUpsert);
-  enforceLimits(record.key.domain);
+  CookieRecord record;
+  record.key = {std::string(parsed.name), std::string(domain),
+                std::string(path)};
+  record.value = parsed.value;
+  record.hostOnly = hostOnly;
+  record.secure = parsed.secure;
+  record.httpOnly = parsed.httpOnly;
+  record.persistent = persistent;
+  record.expiryMs = expiryMs;
+  record.creationMs = nowMs;
+  record.lastAccessMs = nowMs;
+  record.firstParty = firstParty;
+  const auto inserted = cookies_.emplace(record.key, std::move(record)).first;
+  emitUpsertLocked(inserted->first, inserted->second,
+                   store::RecordType::JarUpsert);
+  // `domain` views the header or the URL, so it outlives an eviction of the
+  // new cookie itself.
+  enforceLimits(domain);
   obs::gaugeSet(obs::Gauge::JarCookies,
                 static_cast<std::int64_t>(cookies_.size()));
   return SetCookieOutcome::Stored;
 }
 
-void CookieJar::enforceLimits(const std::string& domain) {
+void CookieJar::enforceLimits(std::string_view domain) {
   // Eviction preference: unmarked cookies before useful ones, then least
   // recently accessed — so the jar pressure a tracker-happy site creates
   // cannot push out the cookies CookiePicker decided to keep.
@@ -201,13 +241,21 @@ void CookieJar::enforceLimits(const std::string& domain) {
   }
 }
 
-std::vector<const CookieRecord*> CookieJar::cookiesForLocked(
-    const net::Url& url, util::SimTimeMs nowMs, const SendOptions& options) {
-  removeIfLocked([nowMs](const CookieRecord& record) {
-    return record.isExpired(nowMs);
-  });
-  std::vector<CookieRecord*> matches;
-  for (auto& [key, record] : cookies_) {
+void CookieJar::collectMatchesLocked(const net::Url& url,
+                                     util::SimTimeMs nowMs,
+                                     const SendOptions& options) {
+  matches_.clear();
+  std::size_t removed = 0;
+  for (auto it = cookies_.begin(); it != cookies_.end();) {
+    const CookieKey& key = it->first;
+    CookieRecord& record = it->second;
+    if (record.isExpired(nowMs)) {
+      emitRemoveLocked(key);
+      it = cookies_.erase(it);
+      ++removed;
+      continue;
+    }
+    ++it;
     const bool domainOk =
         record.hostOnly
             ? util::equalsIgnoreCase(url.host(), key.domain)
@@ -224,9 +272,13 @@ std::vector<const CookieRecord*> CookieJar::cookiesForLocked(
       if (!options.includeSession) continue;
     }
     record.lastAccessMs = nowMs;
-    matches.push_back(&record);
+    matches_.push_back(&record);
   }
-  std::sort(matches.begin(), matches.end(),
+  if (removed > 0) {
+    obs::gaugeSet(obs::Gauge::JarCookies,
+                  static_cast<std::int64_t>(cookies_.size()));
+  }
+  std::sort(matches_.begin(), matches_.end(),
             [](const CookieRecord* a, const CookieRecord* b) {
               if (a->key.path.size() != b->key.path.size()) {
                 return a->key.path.size() > b->key.path.size();
@@ -236,24 +288,34 @@ std::vector<const CookieRecord*> CookieJar::cookiesForLocked(
               }
               return a->key < b->key;
             });
-  return {matches.begin(), matches.end()};
 }
 
 std::vector<const CookieRecord*> CookieJar::cookiesFor(
     const net::Url& url, util::SimTimeMs nowMs, const SendOptions& options) {
   std::lock_guard lock(mutex_);
-  return cookiesForLocked(url, nowMs, options);
+  collectMatchesLocked(url, nowMs, options);
+  return {matches_.begin(), matches_.end()};
 }
 
 std::string CookieJar::cookieHeaderFor(const net::Url& url,
                                        util::SimTimeMs nowMs,
                                        const SendOptions& options) {
   std::lock_guard lock(mutex_);
-  std::vector<std::pair<std::string, std::string>> pairs;
-  for (const CookieRecord* record : cookiesForLocked(url, nowMs, options)) {
-    pairs.emplace_back(record->key.name, record->value);
+  collectMatchesLocked(url, nowMs, options);
+  std::size_t size = 0;
+  for (const CookieRecord* record : matches_) {
+    size += record->key.name.size() + 1 + record->value.size() + 2;
   }
-  return net::formatCookieHeader(pairs);
+  std::string header;
+  if (size == 0) return header;
+  header.reserve(size - 2);
+  for (const CookieRecord* record : matches_) {
+    if (!header.empty()) header += "; ";
+    header += record->key.name;
+    header += '=';
+    header += record->value;
+  }
+  return header;
 }
 
 const CookieRecord* CookieJar::find(const CookieKey& key) const {
@@ -298,9 +360,8 @@ std::size_t CookieJar::removeIfLocked(
   std::size_t removed = 0;
   for (auto it = cookies_.begin(); it != cookies_.end();) {
     if (predicate(it->second)) {
-      const CookieKey removedKey = it->first;
+      emitRemoveLocked(it->first);
       it = cookies_.erase(it);
-      emitRemoveLocked(removedKey);
       ++removed;
     } else {
       ++it;
@@ -357,8 +418,10 @@ CookieJar CookieJar::deserialize(const std::string& text) {
     record.secure = fields[5] == "1";
     record.httpOnly = fields[6] == "1";
     record.persistent = fields[7] == "1";
-    record.expiryMs = std::stoll(fields[8]);
-    record.creationMs = std::stoll(fields[9]);
+    if (!parseWholeInt64(fields[8], record.expiryMs) ||
+        !parseWholeInt64(fields[9], record.creationMs)) {
+      continue;  // a time that is not a whole integer: malformed too
+    }
     record.firstParty = fields[10] == "1";
     record.useful = fields[11] == "1";
     jar.cookies_.emplace(record.key, record);

@@ -21,6 +21,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "cookies/record.h"
@@ -64,19 +66,23 @@ class CookieJar {
   // reflects whether the request was same-site with the top-level document.
   // Rejections: domain attribute that does not cover the request host, or
   // secure cookie over http is still stored (2007 semantics) — only the
-  // domain rule rejects.
+  // domain rule rejects. A cookie already in the jar is updated in place,
+  // keeping its creation time and useful mark. Lifetimes saturate: a
+  // Max-Age or Expires too large for the millisecond clock stores the
+  // latest representable expiry.
   SetCookieOutcome store(const net::SetCookie& parsed,
                          const net::Url& requestUrl, bool firstParty,
                          util::SimTimeMs nowMs);
 
   // Cookies that would be sent with a request to `url`, in RFC 6265 order
   // (longest path first, then earliest creation). Expired cookies are
-  // skipped (and lazily purged).
+  // purged in the same pass over the jar.
   std::vector<const CookieRecord*> cookiesFor(const net::Url& url,
                                               util::SimTimeMs nowMs,
                                               const SendOptions& options = {});
 
-  // Formats the Cookie header for `url` (empty string if nothing matches).
+  // Formats the Cookie header for `url` (empty string if nothing matches),
+  // writing each "name=value" straight from the matched records.
   std::string cookieHeaderFor(const net::Url& url, util::SimTimeMs nowMs,
                               const SendOptions& options = {});
 
@@ -125,6 +131,8 @@ class CookieJar {
 
   // --- persistence (text format, one cookie per line) ---
   std::string serialize() const;
+  // Skips malformed lines: a wrong field count, or an expiry or creation
+  // time that is not a whole decimal integer.
   static CookieJar deserialize(const std::string& text);
 
   // --- durability ---
@@ -141,14 +149,30 @@ class CookieJar {
   }
 
  private:
+  // Orders keys and (name, domain, path) views alike, so store() finds a
+  // cookie without building a CookieKey first.
+  struct KeyLess {
+    using is_transparent = void;
+    using Parts = std::tuple<std::string_view, std::string_view,
+                             std::string_view>;
+    static Parts parts(const CookieKey& key) {
+      return {key.name, key.domain, key.path};
+    }
+    static const Parts& parts(const Parts& key) { return key; }
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return parts(a) < parts(b);
+    }
+  };
+
   // Evicts until the per-domain count of `domain` and the total count are
   // within limits. Eviction order: unmarked before useful, then least
   // recently accessed. Caller holds mutex_.
-  void enforceLimits(const std::string& domain);
-  // Unlocked bodies shared by the public, locking entry points.
-  std::vector<const CookieRecord*> cookiesForLocked(const net::Url& url,
-                                                    util::SimTimeMs nowMs,
-                                                    const SendOptions& options);
+  void enforceLimits(std::string_view domain);
+  // Purges expired cookies and fills matches_ with the ones a request to
+  // `url` carries, sorted, in one pass over the jar. Caller holds mutex_.
+  void collectMatchesLocked(const net::Url& url, util::SimTimeMs nowMs,
+                            const SendOptions& options);
   std::size_t removeIfLocked(
       const std::function<bool(const CookieRecord&)>& predicate);
   // Durability emitters; no-ops when no sink is installed. Caller holds
@@ -158,15 +182,18 @@ class CookieJar {
   void emitRemoveLocked(const CookieKey& key);
 
   mutable std::mutex mutex_;
-  std::map<CookieKey, CookieRecord> cookies_;
+  std::map<CookieKey, CookieRecord, KeyLess> cookies_;
+  // collectMatchesLocked's output; kept, so its capacity is reused.
+  std::vector<CookieRecord*> matches_;
   JarLimits limits_;
   std::size_t evictions_ = 0;
   store::StateSink* sink_ = nullptr;
 };
 
 // Default path when a Set-Cookie has no Path attribute: the request path up
-// to (excluding) its last '/' segment, per RFC 6265 §5.1.4.
-std::string defaultCookiePath(const net::Url& url);
+// to (excluding) its last '/' segment, per RFC 6265 §5.1.4. A view of
+// url.path(), or "/".
+std::string_view defaultCookiePath(const net::Url& url);
 
 // RFC 6265 §5.1.4 path matching.
 bool pathMatches(const std::string& requestPath,

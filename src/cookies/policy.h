@@ -35,11 +35,13 @@ struct CookiePolicy {
 };
 
 // A request is first-party when its host shares a registrable domain with
-// the top-level document the user is visiting.
+// the top-level document the user is visiting. The domains are compared as
+// views of the hosts; the same host needs no comparison at all.
 inline bool isFirstParty(const net::Url& requestUrl,
                          const net::Url& documentUrl) {
-  return net::registrableDomain(requestUrl.host()) ==
-         net::registrableDomain(documentUrl.host());
+  return requestUrl.host() == documentUrl.host() ||
+         net::registrableDomain(requestUrl.host()) ==
+             net::registrableDomain(documentUrl.host());
 }
 
 }  // namespace cookiepicker::cookies

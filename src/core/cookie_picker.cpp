@@ -12,7 +12,7 @@ CookiePicker::CookiePicker(browser::Browser& browser,
       config_(std::move(config)),
       forcum_(browser, config_.forcum),
       recovery_(browser.jar()),
-      enforcedHosts_(std::make_shared<std::set<std::string>>()) {
+      enforcedHosts_(std::make_shared<std::set<std::string, std::less<>>>()) {
   installSendFilter();
   if (config_.forcum.attribution == AttributionMode::Provenance) {
     // Attribution needs taint data on every container and hidden fetch;
@@ -318,7 +318,7 @@ bool CookiePicker::loadState(const std::string& text, std::string* error) {
   }
   std::string jarText;
   std::string forcumText;
-  std::set<std::string> enforced;
+  std::set<std::string, std::less<>> enforced;
   Section section = Section::None;
   for (const std::string& line : lines) {
     if (line == kJarMarker) {

@@ -165,7 +165,8 @@ class CookiePicker {
   ForcumEngine forcum_;
   RecoveryManager recovery_;
   // Hosts under enforcement; shared with the browser's send filter.
-  std::shared_ptr<std::set<std::string>> enforcedHosts_;
+  // Transparent, so the filter looks registrable domains up as views.
+  std::shared_ptr<std::set<std::string, std::less<>>> enforcedHosts_;
   // Durable-state sink for enforcement transitions (jar/FORCUM hold their
   // own pointers); guarded by mutex_ like everything else here.
   store::StateSink* sink_ = nullptr;

@@ -115,14 +115,7 @@ const StreamingSnapshotBuilder::TagInfo& StreamingSnapshotBuilder::tagInfo(
   } else if (name == "body") {
     info.structural = 3;
   }
-  if (name == "img" || name == "script" || name == "iframe" ||
-      name == "embed") {
-    info.resource = 1;
-  } else if (name == "link") {
-    info.resource = 2;
-  } else if (name == "base") {
-    info.resource = 3;
-  }
+  info.reference = referenceKind(name);
   if (name == "p") {
     info.openClass = kClassP;
   } else if (name == "li") {
@@ -276,11 +269,10 @@ StreamPageInfo StreamingSnapshotBuilder::scanPageInfo(
   page_ = &page;
   sawBase_ = false;
   tokenizer_.reset(htmlText);
-  while (tokenizer_.next(token_)) {
-    if (token_.type != TokenType::StartTag) continue;
-    const TagInfo& info = tagInfo(localSymbol(token_.name), token_.name);
-    // processStartTag returns before recordReferences for html/head/body.
-    if (info.structural == 0) recordReferences(info);
+  for (ReferenceKind kind = tokenizer_.nextReferenceTag(token_);
+       kind != ReferenceKind::None;
+       kind = tokenizer_.nextReferenceTag(token_)) {
+    recordReferences(kind);
   }
   page_ = nullptr;
   return page;
@@ -426,7 +418,7 @@ void StreamingSnapshotBuilder::processStartTag() {
     ensureHead();
     head_.lastTextSlot = -1;
     const std::uint32_t row = emitRow(symbol, 3, flags, tokenTaint());
-    recordReferences(info);
+    recordReferences(info.reference);
     if (!info.isVoid && !token_.selfClosing) {
       pushOpen(row, symbol, info, 3);
     }
@@ -446,7 +438,7 @@ void StreamingSnapshotBuilder::processStartTag() {
     level = 3;
   }
   const std::uint32_t row = emitRow(symbol, level, flags, tokenTaint());
-  recordReferences(info);
+  recordReferences(info.reference);
   if (!info.isVoid && !token_.selfClosing) {
     pushOpen(row, symbol, info, level);
   }
@@ -470,9 +462,9 @@ void StreamingSnapshotBuilder::processEndTag() {
   // No match: stray end tag, ignored.
 }
 
-void StreamingSnapshotBuilder::recordReferences(const TagInfo& info) {
-  if (info.resource == 0 || page_ == nullptr) return;
-  if (info.resource == 3) {  // <base>: only the first element counts
+void StreamingSnapshotBuilder::recordReferences(ReferenceKind kind) {
+  if (kind == ReferenceKind::None || page_ == nullptr) return;
+  if (kind == ReferenceKind::Base) {  // only the first element counts
     if (sawBase_) return;
     sawBase_ = true;
     for (const TokenAttribute& attribute : token_.attributes) {
@@ -483,7 +475,7 @@ void StreamingSnapshotBuilder::recordReferences(const TagInfo& info) {
     }
     return;
   }
-  if (info.resource == 1) {  // img/script/iframe/embed
+  if (kind == ReferenceKind::Src) {
     for (const TokenAttribute& attribute : token_.attributes) {
       if (attribute.name == "src") {
         if (!attribute.value.empty()) {

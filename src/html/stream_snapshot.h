@@ -82,10 +82,10 @@ class StreamingSnapshotBuilder {
                               nullptr);
 
   // The page info `build(htmlText)` would return, without building a
-  // snapshot: the same tokenizer, tag table and reference filter, called
-  // for every non-structural start tag exactly where the build calls it,
-  // with no rows, text buffers, hashes or finish pass. For page views no
-  // comparison will read (Browser::visit without a snapshot).
+  // snapshot: the same tokenizer, asked only for the start tags that carry
+  // a reference (Tokenizer::nextReferenceTag), into the same reference
+  // filter. No rows, text, entity decoding, interning or finish pass. For
+  // page views no comparison will read (Browser::visit without a snapshot).
   StreamPageInfo scanPageInfo(std::string_view htmlText);
 
   // Runs the same pass over `htmlText` only until
@@ -128,7 +128,7 @@ class StreamingSnapshotBuilder {
     bool isOption = false;
     bool nonVisual = false;
     std::uint8_t structural = 0;  // 1 html, 2 head, 3 body
-    std::uint8_t resource = 0;    // 1 src carrier, 2 link, 3 base
+    ReferenceKind reference = ReferenceKind::None;
     std::uint8_t openClass = 0;
     std::uint8_t closeMask = 0;
   };
@@ -190,7 +190,7 @@ class StreamingSnapshotBuilder {
   void processComment();
   void processDoctype();
   void appendTextTo(std::int64_t& lastTextSlot, std::int32_t parentLevel);
-  void recordReferences(const TagInfo& info);
+  void recordReferences(ReferenceKind kind);
   void mergeStructuralAttributes(Frame& frame);
   void finalizeStructuralFlags(const Frame& frame);
   void finalizeTextRows();

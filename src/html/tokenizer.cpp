@@ -206,15 +206,74 @@ void Tokenizer::scanDoctype(Token& out) {
   position_ = closing >= input_.size() ? input_.size() : closing + 1;
 }
 
+ReferenceKind Tokenizer::nextReferenceTag(Token& out) {
+  // The positions next() reaches, without its tokens: a text run ends at
+  // the next '<'; a '<' that starts no markup is text; comments, doctypes,
+  // bogus comments and end tags all end at their first '>' (none of their
+  // prefixes or names can hold one).
+  const auto skipPast = [this](std::size_t from, std::string_view close) {
+    const std::size_t closing = close.size() == 1
+                                    ? util::findByte(input_, from, close[0])
+                                    : input_.find(close, from);
+    position_ = closing >= input_.size() ? input_.size()
+                                         : closing + close.size();
+  };
+  while (true) {
+    if (!rawTextEndTag_.empty()) {
+      position_ = rawTextEnd();
+      rawTextEndTag_ = {};
+    }
+    const std::size_t lt = util::findByte(input_, position_, '<');
+    if (lt + 1 >= input_.size()) {
+      position_ = input_.size();
+      out.type = TokenType::EndOfFile;
+      return ReferenceKind::None;
+    }
+    const char following = input_[lt + 1];
+    if (following == '!') {
+      if (input_.compare(lt, 4, "<!--") == 0) {
+        skipPast(lt + 4, "-->");
+      } else {
+        skipPast(lt + 2, ">");
+      }
+      continue;
+    }
+    if (following == '?' || following == '/') {
+      skipPast(lt + 2, ">");
+      continue;
+    }
+    if (!isTagNameStart(following)) {
+      position_ = lt + 1;
+      continue;
+    }
+    out.type = TokenType::StartTag;
+    out.text = {};
+    out.attributes.clear();
+    out.selfClosing = false;
+    out.textInInput = false;
+    out.sourceStart = lt;
+    position_ = lt + 1;
+    const std::size_t nameStart = position_;
+    position_ = util::TagNameScanner::find(input_, position_);
+    out.name = lowered(input_.substr(nameStart, position_ - nameStart));
+    const ReferenceKind kind = referenceKind(out.name);
+    finishTag(/*isEndTag=*/false, kind != ReferenceKind::None, out);
+    if (kind != ReferenceKind::None) return kind;
+  }
+}
+
 void Tokenizer::scanTag(bool isEndTag, Token& token) {
   token.type = isEndTag ? TokenType::EndTag : TokenType::StartTag;
 
   const std::size_t nameStart = position_;
   position_ = util::TagNameScanner::find(input_, position_);
   token.name = lowered(input_.substr(nameStart, position_ - nameStart));
+  finishTag(isEndTag, /*keepAttributes=*/true, token);
+}
 
+void Tokenizer::finishTag(bool isEndTag, bool keepAttributes, Token& token) {
   if (!isEndTag) {
-    scanAttributes(token);
+    scanAttributes(token, keepAttributes);
   }
 
   // Skip to the closing '>' (end tags may carry junk we ignore) — usually
@@ -237,7 +296,7 @@ void Tokenizer::scanTag(bool isEndTag, Token& token) {
   }
 }
 
-void Tokenizer::scanAttributes(Token& token) {
+void Tokenizer::scanAttributes(Token& token, bool keep) {
   fixups_.clear();
   while (position_ < input_.size()) {
     while (position_ < input_.size() && isWhitespace(input_[position_])) {
@@ -290,6 +349,7 @@ void Tokenizer::scanAttributes(Token& token) {
         value = input_.substr(valueStart, position_ - valueStart);
       }
     }
+    if (!keep) continue;
     // First occurrence wins, as in browsers. Lowering is ASCII-only, so a
     // case-insensitive compare of the raw names equals a compare of the
     // lowered ones.
@@ -339,24 +399,27 @@ void Tokenizer::scanAttributes(Token& token) {
   }
 }
 
-void Tokenizer::rawText(Token& token) {
-  // Consume everything up to "</tagName" (case-insensitive).
+std::size_t Tokenizer::rawTextEnd() const {
+  // Everything up to "</tagName" (case-insensitive).
   const std::string_view tagName = rawTextEndTag_;
   const std::size_t needle = 2 + tagName.size();
   std::size_t search = position_;
-  std::size_t contentEnd = input_.size();
   while (search < input_.size()) {
     const std::size_t lt = util::findByte(input_, search, '<');
     if (lt >= input_.size()) break;
     if (lt + needle <= input_.size() && input_[lt + 1] == '/' &&
         util::equalsIgnoreCase(input_.substr(lt + 2, tagName.size()),
                                tagName)) {
-      contentEnd = lt;
-      break;
+      return lt;
     }
     search = lt + 1;
   }
+  return input_.size();
+}
 
+void Tokenizer::rawText(Token& token) {
+  const std::string_view tagName = rawTextEndTag_;
+  const std::size_t contentEnd = rawTextEnd();
   token.type = TokenType::Text;
   const std::string_view content =
       input_.substr(position_, contentEnd - position_);

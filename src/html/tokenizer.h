@@ -25,6 +25,8 @@
 #include <string_view>
 #include <vector>
 
+#include "html/tags.h"
+
 namespace cookiepicker::html {
 
 enum class TokenType { Doctype, StartTag, EndTag, Text, Comment, EndOfFile };
@@ -63,6 +65,15 @@ class Tokenizer {
   // `out` are valid until the next call.
   bool next(Token& out);
 
+  // Advances to the next start tag that referenceKind() classifies as
+  // carrying a reference, fills `out` with it as next() would (attributes
+  // lowered and decoded), and returns its kind; ReferenceKind::None once
+  // the input is exhausted. Everything in between is skipped by the
+  // positions next() would reach — text runs, raw-text content, end tags,
+  // comments, doctypes and other start tags — with no entity decoding, no
+  // token fill, and attributes walked only to find where a tag ends.
+  ReferenceKind nextReferenceTag(Token& out);
+
  private:
   void textToken(std::size_t start, std::size_t end, Token& out);
   void scanMarkup(Token& out);        // called at '<'
@@ -70,8 +81,14 @@ class Tokenizer {
   void scanBogusComment(Token& out);  // "<!foo", "<?xml" etc.
   void scanDoctype(Token& out);       // after "<!DOCTYPE"
   void scanTag(bool isEndTag, Token& out);
-  void scanAttributes(Token& token);
+  // Past the tag name: the attributes (kept in `token` when `keep`), the
+  // closing '>', the self-closing mark and the raw-text switch.
+  void finishTag(bool isEndTag, bool keepAttributes, Token& token);
+  void scanAttributes(Token& token, bool keep);
   void rawText(Token& out);
+  // Where the current raw-text content ends: the '<' of its end tag, or
+  // the end of the input.
+  std::size_t rawTextEnd() const;
   // `raw` lowercased: the input slice itself when it has no uppercase
   // byte, else a copy in nameScratch_.
   std::string_view lowered(std::string_view raw);

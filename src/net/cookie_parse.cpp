@@ -1,10 +1,11 @@
 #include "net/cookie_parse.h"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
-#include <cstring>
+#include <limits>
 
 #include "util/strings.h"
 
@@ -67,22 +68,61 @@ bool isDateSeparator(char ch) {
          ch == '\n' || ch == '\f' || ch == '\v';
 }
 
-// sscanf("%d:%d:%d") over `token`, which needs a NUL-terminated copy: on
-// the stack for any real time token, on the heap only for a longer one.
-// sscanf itself keeps every accept/reject decision ("+1:+2:+3", hours that
-// overflow an int).
-bool scanTime(std::string_view token, int& hour, int& minute, int& second) {
-  char stack[64];
-  std::string heap;
-  const char* text = stack;
-  if (token.size() < sizeof(stack)) {
-    std::memcpy(stack, token.data(), token.size());
-    stack[token.size()] = '\0';
-  } else {
-    heap.assign(token);
-    text = heap.c_str();
+// One "%d" conversion of glibc's sscanf at `at`: leading white space (the
+// "C" locale's isspace set), an optional sign, then at least one digit.
+// glibc converts the digits with strtol, which saturates at the 64-bit long
+// range, and narrows the long to int, so "4294967308" reads as 12 and any
+// longer run of nines as -1.
+bool scanIntField(std::string_view text, std::size_t& at, int& value) {
+  while (at < text.size() &&
+         (text[at] == ' ' || (text[at] >= '\t' && text[at] <= '\r'))) {
+    ++at;
   }
-  return std::sscanf(text, "%d:%d:%d", &hour, &minute, &second) == 3;
+  bool negative = false;
+  if (at < text.size() && (text[at] == '+' || text[at] == '-')) {
+    negative = text[at] == '-';
+    ++at;
+  }
+  // |LONG_MIN|; a magnitude past it has overflowed in either direction.
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 63;
+  std::uint64_t magnitude = 0;
+  bool overflowed = false;
+  const std::size_t digits = at;
+  for (; at < text.size() && text[at] >= '0' && text[at] <= '9'; ++at) {
+    const auto digit = static_cast<std::uint64_t>(text[at] - '0');
+    if (magnitude > (kLimit - digit) / 10) {
+      overflowed = true;
+    } else if (!overflowed) {
+      magnitude = magnitude * 10 + digit;
+    }
+  }
+  if (at == digits) return false;
+  std::int64_t converted = 0;
+  if (negative) {
+    converted = overflowed ? std::numeric_limits<std::int64_t>::min()
+                           : static_cast<std::int64_t>(0 - magnitude);
+  } else {
+    converted = overflowed || magnitude >= kLimit
+                    ? std::numeric_limits<std::int64_t>::max()
+                    : static_cast<std::int64_t>(magnitude);
+  }
+  value = static_cast<int>(converted);  // modular, as glibc's store is
+  return true;
+}
+
+// sscanf(token, "%d:%d:%d") == 3, by hand: the same accept/reject
+// decisions ("+1:+2:+3" is a time, trailing bytes are ignored) and the same
+// values. sscanf reads a C string, so the token ends at its first NUL.
+bool scanTime(std::string_view token, int& hour, int& minute, int& second) {
+  token = token.substr(0, token.find('\0'));
+  std::size_t at = 0;
+  if (!scanIntField(token, at, hour)) return false;
+  if (at == token.size() || token[at] != ':') return false;
+  ++at;
+  if (!scanIntField(token, at, minute)) return false;
+  if (at == token.size() || token[at] != ':') return false;
+  ++at;
+  return scanIntField(token, at, second);
 }
 
 }  // namespace
@@ -96,8 +136,8 @@ std::optional<SetCookie> parseSetCookie(std::string_view header) {
   if (equals == std::string_view::npos || equals == 0) return std::nullopt;
 
   SetCookie cookie;
-  cookie.name = std::string(trim(nameValue.substr(0, equals)));
-  cookie.value = std::string(trim(nameValue.substr(equals + 1)));
+  cookie.name = trim(nameValue.substr(0, equals));
+  cookie.value = trim(nameValue.substr(equals + 1));
   if (cookie.name.empty()) return std::nullopt;
 
   while (end != std::string_view::npos) {
@@ -119,9 +159,7 @@ std::optional<SetCookie> parseSetCookie(std::string_view header) {
       if (!domain.empty() && domain[0] == '.') domain.remove_prefix(1);
       if (!domain.empty()) cookie.domain = toLowerAscii(domain);
     } else if (equalsIgnoreCase(attrName, "path")) {
-      if (!attrValue.empty() && attrValue[0] == '/') {
-        cookie.path = std::string(attrValue);
-      }
+      if (!attrValue.empty() && attrValue[0] == '/') cookie.path = attrValue;
     } else if (equalsIgnoreCase(attrName, "max-age")) {
       std::int64_t seconds = 0;
       if (parseInteger(attrValue, seconds)) cookie.maxAgeSeconds = seconds;
@@ -191,9 +229,14 @@ std::optional<std::int64_t> parseHttpDate(std::string_view text) {
       }
       continue;
     }
-    if (!month.has_value() && token.size() >= 3) {
+    if (!month.has_value() && token.size() >= 3 &&
+        (token[0] < '0' || token[0] > '9')) {
+      // The first three bytes, ASCII-lowered, against the month table.
+      const char prefix[3] = {util::toLowerAscii(token[0]),
+                              util::toLowerAscii(token[1]),
+                              util::toLowerAscii(token[2])};
       for (std::size_t index = 0; index < kMonthNames.size(); ++index) {
-        if (equalsIgnoreCase(token.substr(0, 3), kMonthNames[index])) {
+        if (std::equal(prefix, prefix + 3, kMonthNames[index])) {
           month = static_cast<int>(index) + 1;
           break;
         }
@@ -222,10 +265,22 @@ std::optional<std::int64_t> parseHttpDate(std::string_view text) {
       !year.has_value()) {
     return std::nullopt;
   }
+  // The year is bounded before any day arithmetic: past the last year whose
+  // seconds fit in 64 bits the date saturates, and within it only the final
+  // days can still overflow, which the checked products catch.
+  constexpr std::int64_t kLastYear = 292277026596;
+  constexpr std::int64_t kLatest = std::numeric_limits<std::int64_t>::max();
+  if (*year > kLastYear) return kLatest;
   const std::int64_t days = daysFromCivil(
       *year, static_cast<unsigned>(*month),
       static_cast<unsigned>(*dayOfMonth));
-  return days * 86400 + *hour * 3600 + *minute * 60 + *second;
+  std::int64_t seconds = 0;
+  if (__builtin_mul_overflow(days, std::int64_t{86400}, &seconds) ||
+      __builtin_add_overflow(seconds, *hour * 3600 + *minute * 60 + *second,
+                             &seconds)) {
+    return kLatest;
+  }
+  return seconds;
 }
 
 std::string formatHttpDate(std::int64_t epochSeconds) {

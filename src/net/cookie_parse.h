@@ -13,12 +13,14 @@
 
 namespace cookiepicker::net {
 
-// One parsed Set-Cookie header.
+// One parsed Set-Cookie header. The name, value and path are views into
+// the parsed header and valid only while it lives; the domain is an owned,
+// lower-cased copy (it becomes a jar key, and keys are lower case).
 struct SetCookie {
-  std::string name;
-  std::string value;
-  std::optional<std::string> domain;       // as sent, lowercase, dot kept off
-  std::optional<std::string> path;
+  std::string_view name;
+  std::string_view value;
+  std::optional<std::string> domain;       // lowercase, leading dot dropped
+  std::optional<std::string_view> path;
   std::optional<std::int64_t> maxAgeSeconds;
   std::optional<std::int64_t> expiresEpochSeconds;  // from Expires attribute
   bool secure = false;
@@ -40,7 +42,8 @@ std::string formatCookieHeader(
 // Parses the RFC 1123 / RFC 850 / asctime date formats used by Expires
 // ("Sun, 06 Nov 1994 08:49:37 GMT"). Returns seconds since the Unix epoch,
 // or nullopt if unparseable. The simulation treats its epoch as the Unix
-// epoch, so these values are directly comparable to SimClock time.
+// epoch, so these values are directly comparable to SimClock time. A date
+// too late for its seconds to fit in 64 bits saturates to the int64 maximum.
 std::optional<std::int64_t> parseHttpDate(std::string_view text);
 
 // Formats seconds-since-epoch as an RFC 1123 date.

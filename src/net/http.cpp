@@ -4,13 +4,13 @@
 
 namespace cookiepicker::net {
 
-void HeaderMap::add(std::string_view name, std::string_view value) {
-  entries_.push_back({std::string(name), std::string(value)});
+void HeaderMap::add(std::string_view name, std::string value) {
+  entries_.push_back({std::string(name), std::move(value)});
 }
 
 void HeaderMap::set(std::string_view name, std::string_view value) {
   remove(name);
-  add(name, value);
+  add(name, std::string(value));
 }
 
 void HeaderMap::remove(std::string_view name) {

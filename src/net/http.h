@@ -19,10 +19,12 @@ class HeaderMap {
     std::string value;
   };
 
-  void add(std::string_view name, std::string_view value);
+  // Appends a header line; the value moves in when passed as an rvalue.
+  void add(std::string_view name, std::string value);
   // Replaces all existing values for `name` with a single value.
   void set(std::string_view name, std::string_view value);
   void remove(std::string_view name);
+  void reserve(std::size_t lines) { entries_.reserve(lines); }
 
   // First value for `name`, if any.
   std::optional<std::string> get(std::string_view name) const;

@@ -115,16 +115,12 @@ std::string Url::pathWithQuery() const {
 
 std::string Url::toString() const { return origin() + pathWithQuery(); }
 
-std::string registrableDomain(std::string_view host) {
+std::string_view registrableDomain(std::string_view host) {
   const std::size_t lastDot = host.rfind('.');
-  if (lastDot == std::string_view::npos || lastDot == 0) {
-    return std::string(host);
-  }
+  if (lastDot == std::string_view::npos || lastDot == 0) return host;
   const std::size_t secondLastDot = host.rfind('.', lastDot - 1);
-  if (secondLastDot == std::string_view::npos) {
-    return std::string(host);
-  }
-  return std::string(host.substr(secondLastDot + 1));
+  if (secondLastDot == std::string_view::npos) return host;
+  return host.substr(secondLastDot + 1);
 }
 
 bool hostMatchesDomain(std::string_view host, std::string_view domain) {

@@ -49,10 +49,10 @@ class Url {
 };
 
 // Registrable-domain approximation: the last two labels of the host
-// ("shop.example.com" → "example.com"). Good enough for the synthetic web,
-// whose sites all use two-label registrable domains; real deployments need a
-// public-suffix list.
-std::string registrableDomain(std::string_view host);
+// ("shop.example.com" → "example.com"), as a view of `host`. Good enough for
+// the synthetic web, whose sites all use two-label registrable domains; real
+// deployments need a public-suffix list.
+std::string_view registrableDomain(std::string_view host);
 
 // True if `host` is `domain` or a subdomain of it ("a.b.com" matches "b.com").
 bool hostMatchesDomain(std::string_view host, std::string_view domain);

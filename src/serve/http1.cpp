@@ -72,7 +72,8 @@ bool parseHeaderLines(const std::string& buffer, std::size_t start,
       *error = "malformed-header-line";
       return false;
     }
-    headers->add(trim(line.substr(0, colon)), trim(line.substr(colon + 1)));
+    headers->add(trim(line.substr(0, colon)),
+                 std::string(trim(line.substr(colon + 1))));
     pos = eol + kCrlf.size();
   }
   return true;

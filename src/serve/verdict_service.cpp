@@ -138,7 +138,8 @@ std::uint64_t VerdictService::sessionsRun() const {
   return sessionsRun_;
 }
 
-std::string VerdictService::runVerdict(const std::string& host, int views) {
+std::string VerdictService::runVerdict(const std::string& host, int views,
+                                       std::string* jarText) {
   int pages = 1;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -181,6 +182,7 @@ std::string VerdictService::runVerdict(const std::string& host, int views) {
     }
   }
   const core::HostReport report = picker.report(host);
+  if (jarText != nullptr) *jarText = browser.jar().serialize();
 
   std::vector<std::string> useful;
   std::vector<std::string> blocked;

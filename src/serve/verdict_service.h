@@ -65,8 +65,10 @@ class VerdictService : public net::HttpHandler {
   net::HttpResponse handle(const net::HttpRequest& request) override;
 
   // The verdict body for `host` without the HTTP shell (used directly by
-  // the soak harness and the CLI's --once mode).
-  std::string runVerdict(const std::string& host, int views);
+  // the soak harness and the CLI's --once mode). A non-null `jarText`
+  // receives the session jar's serialize() bytes as the verdict ends.
+  std::string runVerdict(const std::string& host, int views,
+                         std::string* jarText = nullptr);
 
   std::uint64_t sessionsRun() const;
 

@@ -14,31 +14,11 @@ bool isAsciiSpace(char ch) {
 }
 }  // namespace
 
-char toLowerAscii(char ch) {
-  return (ch >= 'A' && ch <= 'Z') ? static_cast<char>(ch - 'A' + 'a') : ch;
-}
-
 std::string toLowerAscii(std::string_view text) {
   std::string result(text);
   std::transform(result.begin(), result.end(), result.begin(),
                  [](char ch) { return toLowerAscii(ch); });
   return result;
-}
-
-bool equalsIgnoreCase(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (toLowerAscii(a[i]) != toLowerAscii(b[i])) return false;
-  }
-  return true;
-}
-
-std::string_view trim(std::string_view text) {
-  std::size_t begin = 0;
-  std::size_t end = text.size();
-  while (begin < end && isAsciiSpace(text[begin])) ++begin;
-  while (end > begin && isAsciiSpace(text[end - 1])) --end;
-  return text.substr(begin, end - begin);
 }
 
 std::vector<std::string> split(std::string_view text, char separator) {
@@ -184,23 +164,6 @@ bool looksLikeDateOrTime(std::string_view text) {
     return false;
   }
   return sawDigit;
-}
-
-std::string replaceAll(std::string_view text, std::string_view from,
-                       std::string_view to) {
-  if (from.empty()) return std::string(text);
-  std::string result;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(from, start);
-    if (pos == std::string_view::npos) {
-      result.append(text.substr(start));
-      return result;
-    }
-    result.append(text.substr(start, pos - start));
-    result.append(to);
-    start = pos + from.size();
-  }
 }
 
 void appendParts(std::string& out,
@@ -355,13 +318,6 @@ std::string_view collapseWhitespaceView(std::string_view text,
     i = skipAsciiSpace(mid, wordEnd);
   }
   return scratch;
-}
-
-std::string collapseWhitespace(std::string_view text) {
-  std::string scratch;
-  const std::string_view collapsed = collapseWhitespaceView(text, scratch);
-  if (collapsed.data() == scratch.data()) return scratch;
-  return std::string(collapsed);
 }
 
 }  // namespace cookiepicker::util

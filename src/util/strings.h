@@ -12,13 +12,33 @@
 
 namespace cookiepicker::util {
 
-char toLowerAscii(char ch);
+// The per-byte helpers are inline: header, cookie and tag parsing call them
+// for every name they compare.
+inline char toLowerAscii(char ch) {
+  return (ch >= 'A' && ch <= 'Z') ? static_cast<char>(ch - 'A' + 'a') : ch;
+}
 std::string toLowerAscii(std::string_view text);
 
-bool equalsIgnoreCase(std::string_view a, std::string_view b);
+inline bool equalsIgnoreCase(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (toLowerAscii(a[i]) != toLowerAscii(b[i])) return false;
+  }
+  return true;
+}
 
 // Trims ASCII whitespace (space, tab, CR, LF, FF, VT) from both ends.
-std::string_view trim(std::string_view text);
+inline std::string_view trim(std::string_view text) {
+  const auto isSpace = [](char ch) {
+    return ch == ' ' || ch == '\t' || ch == '\r' || ch == '\n' ||
+           ch == '\f' || ch == '\v';
+  };
+  std::size_t begin = 0;
+  std::size_t end = text.size();
+  while (begin < end && isSpace(text[begin])) ++begin;
+  while (end > begin && isSpace(text[end - 1])) --end;
+  return text.substr(begin, end - begin);
+}
 
 // Splits on a single character; empty fields are kept (so "a;;b" → 3 parts).
 std::vector<std::string> split(std::string_view text, char separator);
@@ -39,18 +59,12 @@ bool hasAlphanumeric(std::string_view text);
 // of dates, times and counters ("12:30:05", "2007-01-17"). CVCE noise rule.
 bool looksLikeDateOrTime(std::string_view text);
 
-// Replaces every occurrence of `from` (non-empty) with `to`.
-std::string replaceAll(std::string_view text, std::string_view from,
-                       std::string_view to);
-
-// Collapses runs of ASCII whitespace into single spaces and trims. Used to
-// canonicalize text-node content before comparison.
-std::string collapseWhitespace(std::string_view text);
-
-// Same, without copying when it can: returns a slice of `text` itself when
-// the trimmed text is already collapse-clean (the common case), else the
-// collapsed copy written into `scratch` (cleared first). The result is valid
-// while both `text` and `scratch` are.
+// Collapses runs of ASCII whitespace into single spaces and trims, the
+// canonical form text content is compared in, without copying when it can:
+// returns a slice of `text` itself when the trimmed text is already
+// collapse-clean (the common case), else the collapsed copy written into
+// `scratch` (cleared first). The result is valid while both `text` and
+// `scratch` are.
 std::string_view collapseWhitespaceView(std::string_view text,
                                         std::string& scratch);
 

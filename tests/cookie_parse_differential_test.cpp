@@ -1,22 +1,28 @@
 // Differential pin for the Set-Cookie and HTTP-date parsers.
 //
 // net::parseSetCookie and net::parseHttpDate walk the header in place,
-// over string_view pieces. The parsers they replaced — split the header
-// into owned strings, normalize a copy of the date, split it on whitespace
-// into more strings, lower-case a copy of each month prefix — live on here
-// as the oracle, unchanged. Every seeded random header and date must parse
-// to the same fields under both, and so must the literal edge cases below:
-// the ones where a careless rewrite would change an accept/reject decision
-// (sscanf's signed and overflowing time fields, two-digit years, '\v' as a
-// separator, a time token longer than any stack copy, an upper-case domain
-// with a leading dot, empty attributes). COOKIEPICKER_FUZZ scales the trial
-// count for soak runs (tools/check.sh fuzz-thread|fuzz-address).
+// over string_view pieces, and read the Expires time token by hand. The
+// parsers they replaced — split the header into owned strings, normalize a
+// copy of the date, split it on whitespace into more strings, lower-case a
+// copy of each month prefix, sscanf the time — live on here as the oracle,
+// unchanged but for two things: its cookie owns its strings, and its date
+// takes the same year bound as the parser (a date whose seconds overflow 64
+// bits saturates; both computed that product unchecked before). Every
+// seeded random header and date must parse to the same fields under both,
+// and so must the literal edge cases below: the ones where a careless
+// rewrite would change an accept/reject decision (sscanf's signed and
+// overflowing time fields, two-digit years, '\v' as a separator, a time
+// token longer than any stack copy, a NUL inside the time, an upper-case
+// domain with a leading dot, empty attributes, lifetimes that overflow the
+// clock). COOKIEPICKER_FUZZ scales the trial count for soak runs
+// (tools/check.sh fuzz-thread|fuzz-address).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -120,13 +126,34 @@ std::optional<std::int64_t> parseHttpDate(std::string_view text) {
       !year.has_value()) {
     return std::nullopt;
   }
+  // The parser's bound: saturate where the seconds leave 64 bits.
+  constexpr std::int64_t kLatest = std::numeric_limits<std::int64_t>::max();
+  if (*year > 292277026596) return kLatest;
   const std::int64_t days = daysFromCivil(
       *year, static_cast<unsigned>(*month),
       static_cast<unsigned>(*dayOfMonth));
-  return days * 86400 + *hour * 3600 + *minute * 60 + *second;
+  std::int64_t seconds = 0;
+  if (__builtin_mul_overflow(days, std::int64_t{86400}, &seconds) ||
+      __builtin_add_overflow(seconds, *hour * 3600 + *minute * 60 + *second,
+                             &seconds)) {
+    return kLatest;
+  }
+  return seconds;
 }
 
-std::optional<net::SetCookie> parseSetCookie(std::string_view header) {
+// net::SetCookie views its header; the oracle's cookie owns its strings.
+struct SetCookie {
+  std::string name;
+  std::string value;
+  std::optional<std::string> domain;
+  std::optional<std::string> path;
+  std::optional<std::int64_t> maxAgeSeconds;
+  std::optional<std::int64_t> expiresEpochSeconds;
+  bool secure = false;
+  bool httpOnly = false;
+};
+
+std::optional<SetCookie> parseSetCookie(std::string_view header) {
   const std::vector<std::string> parts = split(header, ';');
   if (parts.empty()) return std::nullopt;
 
@@ -134,7 +161,7 @@ std::optional<net::SetCookie> parseSetCookie(std::string_view header) {
   const std::size_t equals = nameValue.find('=');
   if (equals == std::string_view::npos || equals == 0) return std::nullopt;
 
-  net::SetCookie cookie;
+  SetCookie cookie;
   cookie.name = std::string(trim(nameValue.substr(0, equals)));
   cookie.value = std::string(trim(nameValue.substr(equals + 1)));
   if (cookie.name.empty()) return std::nullopt;
@@ -198,7 +225,8 @@ void expectSameDate(std::string_view date) {
 }
 
 void expectSameCookie(std::string_view header) {
-  const std::optional<net::SetCookie> expected = oracle::parseSetCookie(header);
+  const std::optional<oracle::SetCookie> expected =
+      oracle::parseSetCookie(header);
   const std::optional<net::SetCookie> actual = net::parseSetCookie(header);
   SCOPED_TRACE("header \"" + printable(header) + "\"");
   ASSERT_EQ(expected.has_value(), actual.has_value());
@@ -351,6 +379,14 @@ TEST(CookieParseDifferentialLiteral, DateEdgeCases) {
       "",
       " \v,-",
       "06 Nov 1994",
+      "Wed, 21 Oct 300000000 07:28:00 GMT",
+      "Sun, 04 Dec 292277026596 15:30:07 GMT",
+      "Sun, 04 Dec 292277026596 15:30:08 GMT",
+      "Mon, 01 Jan 292277026597 00:00:00 GMT",
+      "Fri, 01 Jan 9223372036854775807 00:00:00 GMT",
+      "Sun, 06 Nov 1994 99999999999999999999:00:00 GMT",
+      "Sun, 06 Nov 1994 -0:1:2 GMT",
+      "Sun, 06 Nov 1994 +:1:2 GMT",
   };
   for (const std::string& date : dates) expectSameDate(date);
 
@@ -366,6 +402,21 @@ TEST(CookieParseDifferentialLiteral, DateEdgeCases) {
   // A time token longer than the stack copy still reads in full.
   EXPECT_EQ(net::parseHttpDate(longTime), 784111777);
   EXPECT_EQ(net::parseHttpDate("06 Nov 1994"), std::nullopt);
+  // An hour past the long range saturates, then narrows to int (-1).
+  EXPECT_EQ(net::parseHttpDate(
+                "Sun, 06 Nov 1994 99999999999999999999:00:00 GMT"),
+            std::nullopt);
+  // Years whose seconds still fit parse exactly; the last second that fits
+  // is the int64 maximum, and any later date saturates to it.
+  EXPECT_EQ(net::parseHttpDate("Wed, 21 Oct 300000000 07:28:00 GMT"),
+            9467023458209280);
+  constexpr std::int64_t kLatest = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(net::parseHttpDate("Sun, 04 Dec 292277026596 15:30:07 GMT"),
+            kLatest);
+  EXPECT_EQ(net::parseHttpDate("Sun, 04 Dec 292277026596 15:30:08 GMT"),
+            kLatest);
+  EXPECT_EQ(net::parseHttpDate("Fri, 01 Jan 9223372036854775807 00:00:00 GMT"),
+            kLatest);
 }
 
 TEST(CookieParseDifferentialLiteral, HeaderEdgeCases) {
@@ -379,6 +430,8 @@ TEST(CookieParseDifferentialLiteral, HeaderEdgeCases) {
       "a=b; Max-Age=+5; Max-Age=-5",
       "a=b; Max-Age=12abc",
       "a=b; secure; HTTPONLY; samesite=lax",
+      "t=1; Max-Age=9223372036854775807",
+      "u=1; Expires=Wed, 21 Oct 300000000 07:28:00 GMT",
       "\v a \v=\v b \v",
       "=b",
       "a",

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cookies/jar.h"
 #include "cookies/policy.h"
 #include "net/cookie_parse.h"
@@ -94,6 +96,31 @@ TEST(CookieJar, UpdatePreservesCreationAndUsefulMark) {
 }
 
 // --- matching ---------------------------------------------------------------
+
+// Max-Age * 1000 and Expires * 1000 leave 64 bits for these two. Both are
+// stored persistent with the latest representable expiry instead of
+// wrapping into the past and being dropped as already expired.
+TEST(CookieJar, LifetimesPastTheClockSaturate) {
+  CookieJar jar;
+  EXPECT_EQ(jar.store(cookie("t=1; Max-Age=9223372036854775807"),
+                      url("http://a.com/"), true, kNow),
+            SetCookieOutcome::Stored);
+  EXPECT_EQ(jar.store(cookie("u=1; Expires=Wed, 21 Oct 300000000 07:28:00 GMT"),
+                      url("http://a.com/"), true, kNow),
+            SetCookieOutcome::Stored);
+  for (const char* name : {"t", "u"}) {
+    const CookieRecord* record = jar.find({name, "a.com", "/"});
+    ASSERT_NE(record, nullptr) << name;
+    EXPECT_TRUE(record->persistent) << name;
+    EXPECT_EQ(record->expiryMs, std::numeric_limits<util::SimTimeMs>::max())
+        << name;
+  }
+  EXPECT_EQ(jar.cookieHeaderFor(url("http://a.com/"), kNow), "t=1; u=1");
+  // The negative extreme saturates the other way: a deletion request.
+  EXPECT_EQ(jar.store(cookie("t=1; Max-Age=-9223372036854775808"),
+                      url("http://a.com/"), true, kNow),
+            SetCookieOutcome::Deleted);
+}
 
 TEST(CookieJar, HostOnlyCookieNotSentToSubdomain) {
   CookieJar jar;

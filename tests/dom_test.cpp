@@ -243,5 +243,11 @@ TEST(Serialize, DebugStringShowsIndentation) {
   EXPECT_NE(debug.find("element a\n  element b"), std::string::npos);
 }
 
+// The oracle's text canonicalizer (dom::collapseWhitespace).
+TEST(Strings, CollapseWhitespace) {
+  EXPECT_EQ(collapseWhitespace("  hello \t  world \n"), "hello world");
+  EXPECT_EQ(collapseWhitespace("   "), "");
+}
+
 }  // namespace
 }  // namespace cookiepicker::dom

@@ -300,7 +300,7 @@ std::vector<std::string> textRows(const std::string& html) {
   std::vector<std::string> texts;
   const auto document = parseHtml(html);
   dom::preorder(*document, [&](const dom::Node& node, std::size_t) {
-    if (node.isText()) texts.push_back(util::collapseWhitespace(node.value()));
+    if (node.isText()) texts.push_back(dom::collapseWhitespace(node.value()));
     return true;
   });
   return texts;

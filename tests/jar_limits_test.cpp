@@ -15,7 +15,8 @@ Url url(const std::string& text) { return *Url::parse(text); }
 
 void storeCookie(CookieJar& jar, const std::string& host,
                  const std::string& name, util::SimTimeMs now) {
-  const auto parsed = parseSetCookie(name + "=v; Max-Age=99999");
+  const std::string header = name + "=v; Max-Age=99999";
+  const auto parsed = parseSetCookie(header);  // views into `header`
   ASSERT_TRUE(parsed.has_value());
   jar.store(*parsed, url("http://" + host + "/"), true, now);
 }

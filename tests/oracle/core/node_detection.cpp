@@ -82,7 +82,7 @@ void extractRecursive(const Node& node, const std::string& context,
                       const CvceOptions& options,
                       std::set<std::string>& output) {
   if (node.isText()) {
-    const std::string text = util::collapseWhitespace(node.value());
+    const std::string text = dom::collapseWhitespace(node.value());
     if (text.empty()) return;
     if (options.filterNonAlphanumeric && !util::hasAlphanumeric(text)) {
       return;

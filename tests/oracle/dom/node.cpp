@@ -230,4 +230,12 @@ TreeSnapshot flattenTree(const Node& root, bool stampTaint) {
   return TreeFlattener::flatten(root, stampTaint);
 }
 
+std::string collapseWhitespace(std::string_view text) {
+  std::string scratch;
+  const std::string_view collapsed =
+      util::collapseWhitespaceView(text, scratch);
+  if (collapsed.data() == scratch.data()) return scratch;
+  return std::string(collapsed);
+}
+
 }  // namespace cookiepicker::dom

@@ -134,4 +134,9 @@ void preorder(const Node& root, Visitor&& visit, std::size_t depth = 0) {
 // ProvenanceMap.
 TreeSnapshot flattenTree(const Node& root, bool stampTaint = false);
 
+// A text node's value in the form the detection algorithms compare: runs of
+// ASCII whitespace collapsed into single spaces, trimmed
+// (util::collapseWhitespaceView, as an owned string).
+std::string collapseWhitespace(std::string_view text);
+
 }  // namespace cookiepicker::dom

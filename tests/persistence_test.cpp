@@ -219,6 +219,31 @@ TEST(PickerPersistence, LoadStateRejectsOutOfOrderMarkers) {
   EXPECT_EQ(picker.saveState(), before);
 }
 
+// A jar line with the right field count but an expiry that is not a whole
+// integer is skipped like any other malformed line: no exception escapes
+// loadState, and "12abc" is not read as 12.
+TEST(PickerPersistence, LoadStateSkipsJarLinesWithBadTimes) {
+  const std::string good =
+      "kept\t1\tt.example\t/\t1\t0\t0\t1\t99000\t1000\t1\t0\n";
+  for (const std::string expiry : {"soon", "12abc"}) {
+    SimWorld world;
+    CookiePicker picker(world.browser);
+    const std::string bad = "bad\t1\tt.example\t/\t1\t0\t0\t1\t" + expiry +
+                            "\t1000\t1\t0\n";
+    std::string error;
+    EXPECT_TRUE(picker.loadState("== jar ==\n" + good + bad +
+                                     "== forcum ==\n== enforced ==\n",
+                                 &error))
+        << expiry << ": " << error;
+    EXPECT_TRUE(error.empty()) << expiry;
+    const cookies::CookieJar& jar = world.browser.jar();
+    EXPECT_EQ(jar.size(), 1u) << expiry;
+    ASSERT_NE(jar.find({"kept", "t.example", "/"}), nullptr) << expiry;
+    EXPECT_EQ(jar.find({"kept", "t.example", "/"})->expiryMs, 99000);
+    EXPECT_EQ(jar.find({"bad", "t.example", "/"}), nullptr) << expiry;
+  }
+}
+
 TEST(PickerPersistence, LoadStateToleratesPreambleAndReportsSuccess) {
   SimWorld world;
   world.addSite(trackerSpec("t.example"));

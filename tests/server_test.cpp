@@ -147,7 +147,7 @@ TEST(TrackingCookie, SetOnceThenQuiet) {
               parsed->expiresEpochSeconds.has_value());
   // Once the client presents it, no more Set-Cookie.
   const auto second = site.handle(
-      makeRequest("http://t.example/", "trk0=" + parsed->value));
+      makeRequest("http://t.example/", "trk0=" + std::string(parsed->value)));
   EXPECT_TRUE(second.setCookieHeaders().empty());
 }
 
@@ -174,8 +174,9 @@ TEST(TrackingCookie, PathScopedPixelTracker) {
   // Pixel request: cookie set with the scoped path.
   const auto pixel =
       site.handle(makeRequest("http://t.example/metrics/0/pixel.gif"));
-  ASSERT_EQ(pixel.setCookieHeaders().size(), 1u);
-  const auto parsed = net::parseSetCookie(pixel.setCookieHeaders()[0]);
+  const auto pixelCookies = pixel.setCookieHeaders();
+  ASSERT_EQ(pixelCookies.size(), 1u);
+  const auto parsed = net::parseSetCookie(pixelCookies[0]);
   EXPECT_EQ(parsed->path.value_or(""), "/metrics/0");
   // Page skeletons embed the pixel image.
   auto document = fetchDom(site, "http://t.example/");
@@ -193,8 +194,9 @@ TEST(SessionCart, SetsSessionCookieAndShowsCount) {
   WebSite site(basicConfig(), clock);
   site.addBehavior(std::make_unique<SessionCartBehavior>());
   const auto response = site.handle(makeRequest("http://t.example/"));
-  ASSERT_EQ(response.setCookieHeaders().size(), 1u);
-  const auto parsed = net::parseSetCookie(response.setCookieHeaders()[0]);
+  const auto setCookies = response.setCookieHeaders();
+  ASSERT_EQ(setCookies.size(), 1u);
+  const auto parsed = net::parseSetCookie(setCookies[0]);
   EXPECT_FALSE(parsed->maxAgeSeconds.has_value());   // session cookie
   EXPECT_FALSE(parsed->expiresEpochSeconds.has_value());
   auto document = html::parseHtml(response.body);

@@ -211,7 +211,7 @@ class TextCollector : public pin::PageVisitor {
     const auto document = html::parseHtml(html);
     dom::preorder(*document, [&](const dom::Node& node, std::size_t) {
       if (node.isText()) {
-        std::string collapsed = util::collapseWhitespace(node.value());
+        std::string collapsed = dom::collapseWhitespace(node.value());
         if (!collapsed.empty()) texts.insert(std::move(collapsed));
       }
       return true;

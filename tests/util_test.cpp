@@ -211,17 +211,6 @@ TEST(Strings, LooksLikeDateOrTime) {
   EXPECT_FALSE(looksLikeDateOrTime(""));
 }
 
-TEST(Strings, ReplaceAll) {
-  EXPECT_EQ(replaceAll("a.b.c", ".", "::"), "a::b::c");
-  EXPECT_EQ(replaceAll("aaa", "aa", "b"), "ba");
-  EXPECT_EQ(replaceAll("abc", "", "x"), "abc");
-}
-
-TEST(Strings, CollapseWhitespace) {
-  EXPECT_EQ(collapseWhitespace("  hello \t  world \n"), "hello world");
-  EXPECT_EQ(collapseWhitespace("   "), "");
-}
-
 // --- stats ----------------------------------------------------------------
 
 TEST(RunningStats, EmptyIsZero) {
