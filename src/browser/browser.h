@@ -149,7 +149,6 @@ class Browser {
   const cookies::CookieJar& jar() const { return jar_; }
   util::SimClock& clock() { return clock_; }
   const cookies::CookiePolicy& policy() const { return policy_; }
-  void setPolicy(cookies::CookiePolicy policy) { policy_ = policy; }
 
   // Total subresource fetches issued (object requests), for overhead
   // accounting against the Doppelganger baseline.
@@ -202,7 +201,7 @@ class Browser {
 
   net::Transport& transport_;
   util::SimClock& clock_;
-  cookies::CookiePolicy policy_;
+  const cookies::CookiePolicy policy_;
   cookies::CookieJar jar_;
   util::Pcg32 rng_;
   ThinkTimeModel thinkTime_;

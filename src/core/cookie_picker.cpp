@@ -215,14 +215,11 @@ void CookiePicker::enforceForHostLocked(const std::string& host) {
       sink_->append(store::RecordType::HostEnforced, host);
     }
   }
-  if (config_.deleteUselessOnEnforce) {
-    browser_.jar().removeIf([&host](const cookies::CookieRecord& record) {
-      if (!record.persistent || record.useful) return false;
-      return record.hostOnly
-                 ? record.key.domain == host
-                 : net::hostMatchesDomain(host, record.key.domain);
-    });
-  }
+  browser_.jar().removeIf([&host](const cookies::CookieRecord& record) {
+    if (!record.persistent || record.useful) return false;
+    return record.hostOnly ? record.key.domain == host
+                           : net::hostMatchesDomain(host, record.key.domain);
+  });
 }
 
 void CookiePicker::enforceStableHosts() {

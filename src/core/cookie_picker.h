@@ -40,10 +40,6 @@ namespace cookiepicker::core {
 
 struct CookiePickerConfig {
   ForcumConfig forcum;
-  // When enforcement triggers, also delete the blocked cookies from the jar
-  // ("those disabled useless cookies will be removed from the Web browser's
-  // cookie jar").
-  bool deleteUselessOnEnforce = true;
   // Automatically enforce a host as soon as its training turns stable.
   bool autoEnforce = false;
   // Crowd-shared site knowledge (not owned; null = the per-user paper
@@ -91,7 +87,8 @@ class CookiePicker {
   ForcumStepReport onPageLoaded(const browser::PageView& view);
 
   // Enforcement: stop transmitting unmarked persistent cookies of `host`
-  // and (optionally) delete them. Idempotent.
+  // and delete them from the jar ("those disabled useless cookies will be
+  // removed from the Web browser's cookie jar"). Idempotent.
   void enforceForHost(const std::string& host);
   // Enforces every host whose training has turned stable.
   void enforceStableHosts();

@@ -5,13 +5,11 @@
 #include <optional>
 #include <thread>
 
-#include "browser/browser.h"
 #include "dom/interner.h"
 #include "obs/audit.h"
 #include "obs/recorder.h"
 #include "util/clock.h"
 #include "util/log.h"
-#include "util/rng.h"
 #include "util/strings.h"
 
 namespace cookiepicker::fleet {
@@ -63,8 +61,10 @@ std::string TrainingFleet::configFingerprint() const {
   util::appendParts(
       out, {std::to_string(config_.seed), ":",
             std::to_string(config_.viewsPerHost), ":",
-            config_.collectObservability ? "1" : "0", ":",
-            config_.enforceStableAfterRun ? "1" : "0", ":",
+            config_.collectObservability ? "1" : "0",
+            // Every session enforces its stable hosts; the field stays so
+            // shards sealed by older builds still recover.
+            ":1:",
             std::to_string(
                 static_cast<int>(config_.picker.forcum.groupMode)),
             ":", config_.picker.forcum.consistencyReprobe ? "1" : "0", ":",
@@ -116,21 +116,14 @@ HostResult TrainingFleet::runHostSession(const server::SiteSpec& spec) const {
     shard->beginSession(fingerprint);
   }
 
-  // Everything below is session-local: its own clock, jar, and an RNG stream
-  // keyed by the host name — a pure function of (seed, host, views).
-  util::SimClock clock;
-  browser::Browser browser(network_, clock, config_.policy,
-                           config_.seed ^ util::fnv1a64(spec.domain));
-  core::CookiePickerConfig pickerConfig = config_.picker;
-  pickerConfig.sharedKnowledge = config_.knowledge;
-  core::CookiePicker picker(browser, pickerConfig);
-  if (shard != nullptr) {
-    picker.attachStateSink(shard);
-  }
+  core::Session session(network_, spec.domain, config_);
+  if (shard != nullptr) session.picker().attachStateSink(shard);
 
   // Session-scoped flight recorder: every obs::count / span / audit append
   // on this thread lands in these sinks until the scope ends, so metrics
-  // attribute per host session no matter which worker runs it.
+  // attribute per host session no matter which worker runs it. The
+  // session's knowledge publish runs inside it too: sessions touch only
+  // their own host's entry, so the merge counts stay deterministic.
   obs::MetricsRegistry sessionMetrics(config_.collectObservability);
   obs::AuditTrail sessionAudit;
   std::optional<obs::ScopedObsSession> obsScope;
@@ -138,24 +131,11 @@ HostResult TrainingFleet::runHostSession(const server::SiteSpec& spec) const {
     obsScope.emplace(&sessionMetrics, &sessionAudit);
   }
 
-  const int pages = std::max(1, spec.pageCount);
-  for (int view = 0; view < config_.viewsPerHost; ++view) {
-    picker.browse("http://" + spec.domain + "/page" +
-                  std::to_string(view % pages));
-    ++result.pagesVisited;
-  }
-  if (config_.enforceStableAfterRun) {
-    picker.enforceStableHosts();
-  }
-  result.report = picker.report(spec.domain);
-  result.state = picker.saveState();
-  result.jarState = browser.jar().serialize();
-  if (config_.knowledge != nullptr) {
-    // Publish inside the session obs scope so the merge counters land in
-    // the per-session snapshot — sessions touch only their own host's
-    // entry, so the counts stay deterministic for any worker count.
-    picker.publishKnowledge();
-  }
+  session.run(config_.viewsPerHost, spec.pageCount);
+  result.pagesVisited = std::max(0, config_.viewsPerHost);
+  result.report = session.picker().report(spec.domain);
+  result.state = session.picker().saveState();
+  result.jarState = session.browser().jar().serialize();
   if (config_.collectObservability) {
     obsScope.reset();  // detach before snapshotting
     result.metrics = sessionMetrics.snapshot();

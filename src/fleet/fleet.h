@@ -2,13 +2,13 @@
 //
 // Scales FORCUM training from one browsing session to N worker threads
 // sharing one simulated Network. The unit of work is a *host*: each worker
-// pulls the next site off a shared roster queue, spins up a fresh
-// Browser + CookiePicker session for it (its own SimClock and jar, its RNG
-// forked from the fleet seed keyed by the host name), drives the configured
-// number of page views, and records the session's final state. Hosts are
-// independent — the embarrassingly parallel shape of crawl-scale cookie
-// studies — so throughput scales with workers while results stay exactly
-// reproducible.
+// pulls the next site off a shared roster queue, runs one core::Session for
+// it (its own SimClock and jar, its RNG keyed by the host name), and
+// records the session's final state. Around the session the fleet adds only
+// its own parts: the state-store short-circuit and shard, and the
+// session-scoped flight recorder. Hosts are independent — the
+// embarrassingly parallel shape of crawl-scale cookie studies — so
+// throughput scales with workers while results stay exactly reproducible.
 //
 // Determinism invariant: for a fixed seed, roster, and views-per-host, the
 // per-host reports, jar marks, and `FleetReport::serializeState()` bytes are
@@ -23,9 +23,8 @@
 #include <vector>
 
 #include "cookies/jar.h"
-#include "cookies/policy.h"
 #include "core/cookie_picker.h"
-#include "knowledge/knowledge_base.h"
+#include "core/session.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "server/generator.h"
@@ -33,15 +32,13 @@
 
 namespace cookiepicker::fleet {
 
-struct FleetConfig {
+// With `knowledge` set, determinism holds for any worker count because
+// sessions read and write only their own host's entry and each roster host
+// runs once. Hosts short-circuited from the state store do NOT re-publish;
+// combine store recovery with knowledge via reruns (DESIGN.md §13).
+struct FleetConfig : core::SessionConfig {
   int workers = 1;
   int viewsPerHost = 12;
-  std::uint64_t seed = 2007;
-  core::CookiePickerConfig picker;
-  cookies::CookiePolicy policy = cookies::CookiePolicy::recommended();
-  // Enforce every stable host at the end of its session (block + purge the
-  // cookies FORCUM left unmarked), as a batch audit would.
-  bool enforceStableAfterRun = true;
   // Flight recorder: when true, every host session runs under its own
   // obs::MetricsRegistry + obs::AuditTrail (installed thread-locally for
   // the session's duration), and the per-host snapshots/trails land in
@@ -58,15 +55,6 @@ struct FleetConfig {
   // byte-identical to one that never crashed. Null = no durability, no
   // overhead, byte-identical results.
   store::StateStore* stateStore = nullptr;
-  // Crowd-shared site knowledge (optional, not owned). When set, every host
-  // session consults it at session start (a warm site skips straight to
-  // enforce) and publishes its export back after the session. Determinism
-  // is preserved for any worker count because sessions read and write only
-  // their own host's entry, and each roster host runs exactly once. Hosts
-  // short-circuited from the state store do NOT re-publish (their sessions
-  // never ran); combine store recovery with knowledge via reruns, not
-  // replays — see DESIGN.md §13.
-  knowledge::KnowledgeBase* knowledge = nullptr;
 };
 
 // Outcome of one host's training session.

@@ -7,9 +7,7 @@
 #include <string_view>
 #include <vector>
 
-#include "browser/browser.h"
 #include "cookies/jar.h"
-#include "util/clock.h"
 #include "util/strings.h"
 
 namespace cookiepicker::serve {
@@ -113,6 +111,10 @@ void appendNameArray(std::string& json, const char* field,
   json += "]";
 }
 
+// The verdict's "knowledge" field, indexed by core::KnowledgeOutcome.
+constexpr const char* kKnowledgeOutcomes[] = {"unconsulted", "warm", "cold",
+                                              "demoted"};
+
 net::HttpResponse jsonResponse(int status, std::string body) {
   net::HttpResponse response;
   response.status = status;
@@ -138,50 +140,27 @@ std::uint64_t VerdictService::sessionsRun() const {
   return sessionsRun_;
 }
 
-std::string VerdictService::runVerdict(const std::string& host, int views,
-                                       std::string* jarText) {
+std::string VerdictService::runVerdict(const std::string& requestedHost,
+                                       int views, std::string* jarText) {
+  std::string name = util::toLowerAscii(requestedHost);
   int pages = 1;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = hostPages_.find(host);
+    const auto it = hostPages_.find(name);
     if (it == hostPages_.end()) return std::string();
     pages = it->second;
     ++sessionsRun_;
   }
 
-  // The fleet's session recipe: everything session-local, RNG keyed by the
-  // host name, so the deterministic half of the verdict is a pure function
-  // of (seed, host, views) — whatever transport carries the bytes.
-  util::SimClock clock;
-  browser::Browser browser(transport_, clock, config_.policy,
-                           config_.seed ^ util::fnv1a64(host));
-  core::CookiePickerConfig pickerConfig = config_.picker;
-  pickerConfig.sharedKnowledge = config_.knowledge;
-  core::CookiePicker picker(browser, pickerConfig);
+  // The deterministic half of the verdict is a pure function of (seed,
+  // host, views) — whatever transport carries the bytes.
+  core::Session session(transport_, std::move(name), config_);
+  const std::string& host = session.host();
   const int viewCount = std::max(1, views);
-  for (int view = 0; view < viewCount; ++view) {
-    picker.browse("http://" + host + "/page" + std::to_string(view % pages));
-  }
-  if (config_.enforceStableAfterRun) picker.enforceStableHosts();
-  std::string knowledgeOutcome;
-  if (config_.knowledge != nullptr) {
-    picker.publishKnowledge();
-    switch (picker.knowledgeOutcome(host)) {
-      case core::KnowledgeOutcome::Unconsulted:
-        knowledgeOutcome = "unconsulted";
-        break;
-      case core::KnowledgeOutcome::Warm:
-        knowledgeOutcome = "warm";
-        break;
-      case core::KnowledgeOutcome::Cold:
-        knowledgeOutcome = "cold";
-        break;
-      case core::KnowledgeOutcome::Demoted:
-        knowledgeOutcome = "demoted";
-        break;
-    }
-  }
+  session.run(viewCount, pages);
+  const core::CookiePicker& picker = session.picker();
   const core::HostReport report = picker.report(host);
+  const browser::Browser& browser = session.browser();
   if (jarText != nullptr) *jarText = browser.jar().serialize();
 
   std::vector<std::string> useful;
@@ -216,8 +195,10 @@ std::string VerdictService::runVerdict(const std::string& host, int views,
   appendNameArray(json, "blockedCookies", blocked);
   // Only present when a shared base is attached, so knowledge-free
   // deployments keep their historical verdict bytes.
-  if (!knowledgeOutcome.empty()) {
-    json += ",\"knowledge\":\"" + knowledgeOutcome + "\"";
+  if (config_.knowledge != nullptr) {
+    json += ",\"knowledge\":\"";
+    json += kKnowledgeOutcomes[static_cast<int>(picker.knowledgeOutcome(host))];
+    json += '"';
   }
   json += "}";
   return json;
@@ -241,7 +222,7 @@ net::HttpResponse VerdictService::handle(const net::HttpRequest& request) {
     if (!params) {
       return jsonResponse(400, "{\"error\":\"malformed query string\"}");
     }
-    const std::string host = util::toLowerAscii(queryParam(*params, "host"));
+    const std::string host = queryParam(*params, "host");
     if (host.empty()) {
       return jsonResponse(400, "{\"error\":\"missing host parameter\"}");
     }

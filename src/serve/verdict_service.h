@@ -2,12 +2,11 @@
 //
 // An HttpHandler exposing cookie-usefulness verdicts over HTTP — the
 // service half of `cookiepicker serve`. A request names a host from the
-// roster; the service runs a full CookiePicker training session for it
-// (fresh Browser + jar + SimClock, RNG keyed by host name, exactly the
-// fleet's session recipe) with every fetch flowing through the injected
-// net::Transport — the sim for reference runs, the SocketTransport for the
-// real service tier, where hidden requests become batched pipelined
-// fetches against the origin tier.
+// roster; the service runs one core::Session for it (the fleet's session:
+// fresh Browser + jar + SimClock, RNG keyed by host name) with every fetch
+// flowing through the injected net::Transport — the sim for reference
+// runs, the SocketTransport for the real service tier, where hidden
+// requests become batched pipelined fetches against the origin tier.
 //
 // Routes:
 //   GET /healthz               → 200 "ok"
@@ -19,7 +18,9 @@
 //       dispatched; `hiddenRequests` is FORCUM's per-host counter, which a
 //       warm session imports from the crowd. Deterministic
 //       fields only — no timing — so two runs (or sim vs. socket) can be
-//       compared byte-for-byte; the soak harness does exactly that.
+//       compared byte-for-byte; the soak harness does exactly that. Only
+//       with a shared knowledge base does it gain a "knowledge" field
+//       naming the consult outcome.
 //   GET /stats                 → service counters JSON
 #pragma once
 
@@ -28,9 +29,7 @@
 #include <mutex>
 #include <string>
 
-#include "cookies/policy.h"
-#include "core/cookie_picker.h"
-#include "knowledge/knowledge_base.h"
+#include "core/session.h"
 #include "net/transport.h"
 
 namespace cookiepicker::serve {
@@ -39,19 +38,8 @@ namespace cookiepicker::serve {
 // loop, so a huge count would stall every other client.
 inline constexpr int kMaxVerdictViews = 1000;
 
-struct VerdictServiceConfig {
+struct VerdictServiceConfig : core::SessionConfig {
   int defaultViews = 12;
-  std::uint64_t seed = 2007;
-  core::CookiePickerConfig picker;
-  cookies::CookiePolicy policy = cookies::CookiePolicy::recommended();
-  bool enforceStableAfterRun = true;
-  // Crowd-shared knowledge (optional, not owned). When set, every verdict
-  // session consults it (warm hosts answer with ~0 hidden requests) and
-  // publishes its export back, and the verdict JSON gains a "knowledge"
-  // field naming the consult outcome. Null keeps the JSON byte-identical
-  // to a service that predates the knowledge tier, which is what the
-  // sim-vs-socket parity soaks compare.
-  knowledge::KnowledgeBase* knowledge = nullptr;
 };
 
 class VerdictService : public net::HttpHandler {
@@ -64,9 +52,10 @@ class VerdictService : public net::HttpHandler {
 
   net::HttpResponse handle(const net::HttpRequest& request) override;
 
-  // The verdict body for `host` without the HTTP shell (used directly by
-  // the soak harness and the CLI's --once mode). A non-null `jarText`
-  // receives the session jar's serialize() bytes as the verdict ends.
+  // The verdict body for `host` (ASCII case-insensitive) without the HTTP
+  // shell (used directly by the soak harness and the CLI's --once mode);
+  // empty for an unknown host. A non-null `jarText` receives the session
+  // jar's serialize() bytes as the verdict ends.
   std::string runVerdict(const std::string& host, int views,
                          std::string* jarText = nullptr);
 

@@ -355,9 +355,10 @@ TEST(Browser, ThinkAdvancesClock) {
 TEST(Browser, BlockAllPolicyStoresNothing) {
   SimWorld world;
   const auto spec = world.addGenericSite("shop.example");
-  world.browser.setPolicy(cookies::CookiePolicy::blockAll());
-  world.browser.visit(world.urlFor(spec));
-  EXPECT_EQ(world.browser.jar().size(), 0u);
+  Browser browser(world.network, world.clock,
+                  cookies::CookiePolicy::blockAll());
+  browser.visit(world.urlFor(spec));
+  EXPECT_EQ(browser.jar().size(), 0u);
 }
 
 }  // namespace

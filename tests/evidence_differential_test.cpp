@@ -20,10 +20,9 @@
 #include <string_view>
 #include <vector>
 
-#include "browser/browser.h"
-#include "core/cookie_picker.h"
 #include "core/explain.h"
 #include "core/node_detection.h"
+#include "core/session.h"
 #include "dom/snapshot.h"
 #include "fuzz_documents.h"
 #include "html/parser.h"
@@ -96,24 +95,21 @@ TEST_P(EvidenceDifferential, CookieCausedStepsMatchOracle) {
 
   int compared = 0;
   for (const server::SiteSpec& spec : roster) {
-    // The fleet's session recipe: own clock, host-keyed browser seed.
-    util::SimClock clock;
+    // The fleet's and the verdict service's session, stepped one view at a
+    // time.
     RecordingTransport transport(network);
-    browser::Browser browser(transport, clock,
-                             cookies::CookiePolicy::recommended(),
-                             kSeed ^ util::fnv1a64(spec.domain));
-    core::CookiePickerConfig config;
-    config.forcum.consistencyReprobe = param.reprobe;
-    core::CookiePicker picker(browser, config);
+    core::SessionConfig config;
+    config.seed = kSeed;
+    config.picker.forcum.consistencyReprobe = param.reprobe;
+    core::Session session(transport, spec.domain, config);
     obs::MetricsRegistry metrics;
     obs::AuditTrail audit;
     obs::ScopedObsSession scope(&metrics, &audit);
     core::EvidenceScratch scratch;
 
-    const int pages = std::max(1, spec.pageCount);
     for (int view = 0; view < kViews; ++view) {
-      const core::ForcumStepReport report = picker.browse(
-          "http://" + spec.domain + "/page" + std::to_string(view % pages));
+      const core::ForcumStepReport report =
+          session.browse(view, spec.pageCount);
       if (!report.decision.causedByCookies) continue;
       SCOPED_TRACE(spec.domain + " view " + std::to_string(view));
       // Evidence rides the step's record, the last line of the trail.
@@ -129,7 +125,7 @@ TEST_P(EvidenceDifferential, CookieCausedStepsMatchOracle) {
       const auto regular = html::parseHtml(transport.container);
       const auto hidden = html::parseHtml(transport.hidden.front());
       core::ExplainOptions options;
-      options.decision = config.forcum.decision;
+      options.decision = config.picker.forcum.decision;
       core::DifferenceExplanation oracle;
       core::collectDifferenceEvidence(*regular, *hidden, options, oracle);
       EXPECT_EQ(record->evidenceStructureRegular,

@@ -14,7 +14,9 @@
 #include "core/cookie_picker.h"
 #include "faults/fault_plan.h"
 #include "fleet/fleet.h"
+#include "knowledge/knowledge_base.h"
 #include "net/network.h"
+#include "serve/verdict_service.h"
 #include "server/generator.h"
 #include "test_support.h"
 #include "util/clock.h"
@@ -83,6 +85,85 @@ TEST(FleetReportTest, WorkerCountClampedToRoster) {
   const auto roster = server::measurementRoster(2, 5);
   const fleet::FleetReport report = runFleet(roster, 16, 3);
   EXPECT_EQ(report.workers, 2);
+}
+
+// Shards sealed by older builds recover only while these bytes hold; the
+// fourth field is the retired enforce-after-run flag, always 1.
+TEST(FleetReportTest, ConfigFingerprintBytesArePinned) {
+  net::Network network(1);
+  fleet::FleetConfig config;
+  EXPECT_EQ(fleet::TrainingFleet(network, config).configFingerprint(),
+            "v1:2007:12:0:1:0:0:k0");
+  config.picker.forcum.attribution = core::AttributionMode::Provenance;
+  EXPECT_EQ(fleet::TrainingFleet(network, config).configFingerprint(),
+            "v1:2007:12:0:1:0:0:k0:attr1");
+}
+
+// The fleet and the verdict service run one session (core::Session): every
+// host's fleet jar bytes and useful marks equal what runVerdict gives on a
+// fresh world with the same seed. With a shared knowledge base each side
+// runs two passes, so the second compares warm sessions.
+TEST(FleetSession, FleetAndServeRunTheSameSession) {
+  std::vector<server::SiteSpec> roster = server::table1Roster();
+  for (server::SiteSpec& spec : server::table2Roster()) {
+    roster.push_back(std::move(spec));
+  }
+  int compared = 0;
+  for (const std::uint64_t seed : {2007ull, 31ull}) {
+    for (const int views : {4, 12}) {
+      for (const bool autoEnforce : {false, true}) {
+        for (const bool shared : {false, true}) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + ", views " +
+                       std::to_string(views) + ", autoEnforce " +
+                       std::to_string(autoEnforce) + ", knowledge " +
+                       std::to_string(shared));
+          knowledge::KnowledgeBase fleetKnowledge;
+          knowledge::KnowledgeBase serveKnowledge;
+          fleet::FleetConfig fleetConfig;
+          fleetConfig.seed = seed;
+          fleetConfig.viewsPerHost = views;
+          fleetConfig.picker.autoEnforce = autoEnforce;
+          serve::VerdictServiceConfig serveConfig;
+          serveConfig.seed = seed;
+          serveConfig.picker.autoEnforce = autoEnforce;
+          if (shared) {
+            fleetConfig.knowledge = &fleetKnowledge;
+            serveConfig.knowledge = &serveKnowledge;
+          }
+          for (int pass = 0; pass < (shared ? 2 : 1); ++pass) {
+            fleet::FleetReport report;
+            {
+              util::SimClock serverClock;
+              net::Network network(seed);
+              server::registerRoster(network, serverClock, roster);
+              report = fleet::TrainingFleet(network, fleetConfig).run(roster);
+            }
+            util::SimClock serverClock;
+            net::Network network(seed);
+            server::registerRoster(network, serverClock, roster);
+            serve::VerdictService service(network, serveConfig);
+            for (const server::SiteSpec& spec : roster) {
+              service.addHost(spec.domain, spec.pageCount);
+            }
+            for (std::size_t i = 0; i < roster.size(); ++i) {
+              const fleet::HostResult& host = report.hosts[i];
+              std::string jar;
+              const std::string verdict =
+                  service.runVerdict(host.host, views, &jar);
+              EXPECT_EQ(host.jarState, jar) << host.host;
+              EXPECT_NE(verdict.find("\"markedUseful\":" +
+                                     std::to_string(host.report.markedUseful) +
+                                     ","),
+                        std::string::npos)
+                  << verdict;
+              ++compared;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 864);
 }
 
 // 64 hosts trained by a fleet, then a shared CookiePicker hammered with

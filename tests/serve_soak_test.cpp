@@ -16,6 +16,7 @@
 // COOKIEPICKER_CHAOS=1, which doubles the session length.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -262,6 +263,43 @@ TEST(ServeSoak, VerdictReportsHiddenRequestsThisSessionSent) {
     }
   }
   tier.stop();
+}
+
+// Host names are ASCII case-insensitive: an upper-case host gets the
+// lower-case host's verdict and jar bytes, from runVerdict and from
+// /verdict alike.
+TEST(ServeSoak, VerdictHostIsCaseInsensitive) {
+  const std::vector<server::SiteSpec> roster = server::table2Roster();
+  const std::string host = roster.front().domain;
+  std::string upper = host;
+  for (char& ch : upper) {
+    ch = static_cast<char>(std::toupper(static_cast<unsigned char>(ch)));
+  }
+  ASSERT_NE(upper, host);
+  // A fresh world per verdict, so every session starts from the same state.
+  const auto verdict = [&](const std::string& name, std::string* jar,
+                           bool overHttp) {
+    util::SimClock siteClock;
+    net::Network network(kSeed);
+    serve::VerdictService service(network, {});
+    for (const auto& spec : roster) {
+      network.registerHost(spec.domain, server::buildSite(spec, siteClock),
+                           spec.latencyProfile());
+      service.addHost(spec.domain, spec.pageCount);
+    }
+    if (!overHttp) return service.runVerdict(name, 12, jar);
+    net::HttpRequest request;
+    request.url =
+        net::Url::parse("http://verdicts.local/verdict?host=" + name).value();
+    return service.handle(request).body;
+  };
+  std::string lowerJar;
+  std::string upperJar;
+  const std::string lower = verdict(host, &lowerJar, false);
+  ASSERT_NE(lower.find("\"host\":\"" + host + "\""), std::string::npos);
+  EXPECT_EQ(verdict(upper, &upperJar, false), lower);
+  EXPECT_EQ(upperJar, lowerJar);
+  EXPECT_EQ(verdict(upper, nullptr, true), lower);
 }
 
 // Query keys and values are percent-decoded; malformed escapes and decoded
