@@ -29,15 +29,4 @@ void TreeSnapshot::finish() {
   }
 }
 
-std::size_t TreeSnapshot::memoryBytes() const {
-  return symbols_.capacity() * sizeof(SymbolId) +
-         subtreeEnd_.capacity() * sizeof(std::uint32_t) +
-         levels_.capacity() * sizeof(std::int32_t) +
-         flags_.capacity() * sizeof(std::uint16_t) +
-         textHashes_.capacity() * sizeof(std::uint64_t) +
-         childOffset_.capacity() * sizeof(std::uint32_t) +
-         childIndex_.capacity() * sizeof(std::uint32_t) +
-         taintSets_.capacity() * sizeof(provenance::TaintSetId);
-}
-
 }  // namespace cookiepicker::dom

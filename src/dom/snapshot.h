@@ -104,9 +104,6 @@ class TreeSnapshot {
   // predicate by predicate.
   std::uint16_t rawFlags(std::uint32_t i) const { return flags_[i]; }
 
-  // Rough heap footprint, for the benchmark's bytes accounting.
-  std::size_t memoryBytes() const;
-
   enum Flag : std::uint16_t {
     kElement = 1U << 0,
     kText = 1U << 1,

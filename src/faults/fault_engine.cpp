@@ -2,15 +2,29 @@
 
 namespace cookiepicker::faults {
 
-const FaultRule* HostFaultState::evaluate(const FaultPlan& plan,
-                                          std::uint64_t generation,
-                                          std::string_view host, Scope kind,
-                                          bool firstAttempt,
-                                          util::Pcg32& rng) {
-  if (generation_ != generation) {
-    generation_ = generation;
-    logicalIndex_.fill(0);
-    flapCursor_.assign(plan.rules.size(), 0);
+void FaultPlanSlot::install(std::shared_ptr<const FaultPlan> plan) {
+  std::lock_guard lock(mutex_);
+  plan_ = std::move(plan);
+  ++generation_;
+}
+
+FiredRule FaultPlanSlot::evaluate(HostFaultState& state, std::string_view host,
+                                  Scope kind, bool firstAttempt,
+                                  util::Pcg32& rng) const {
+  FiredRule fired;
+  std::uint64_t generation = 0;
+  {
+    std::lock_guard lock(mutex_);
+    fired.plan = plan_;
+    generation = generation_;
+  }
+  if (fired.plan == nullptr || fired.plan->empty()) return fired;
+  const FaultPlan& plan = *fired.plan;
+  // A new generation restarts the host's schedule from scratch.
+  if (state.generation != generation) {
+    state.generation = generation;
+    state.logicalIndex.fill(0);
+    state.flapCursor.assign(plan.rules.size(), 0);
   }
 
   // The logical index of this request, per scope: first attempts claim the
@@ -20,7 +34,7 @@ const FaultRule* HostFaultState::evaluate(const FaultPlan& plan,
   };
   std::array<std::uint64_t, kScopeCount> index{};
   for (const std::size_t slot : {scopeSlot(Scope::Any), scopeSlot(kind)}) {
-    std::uint64_t& counter = logicalIndex_[slot];
+    std::uint64_t& counter = state.logicalIndex[slot];
     if (firstAttempt) {
       index[slot] = counter++;
     } else {
@@ -37,7 +51,7 @@ const FaultRule* HostFaultState::evaluate(const FaultPlan& plan,
     // The rule matched this physical attempt: its flap cursor advances
     // whether or not it ends up firing, so fail/recover phases tick per
     // attempt and a retry can land in the recovered phase.
-    const std::uint64_t position = flapCursor_[i]++;
+    const std::uint64_t position = state.flapCursor[i]++;
     if (rule.failCount > 0) {
       const std::uint64_t period = rule.failCount + rule.recoverCount;
       if (position % period >= rule.failCount) continue;  // recovered phase
@@ -45,24 +59,10 @@ const FaultRule* HostFaultState::evaluate(const FaultPlan& plan,
     // Deterministic rules (p == 1) consume no draws, so adding or removing
     // them never shifts the host's latency stream.
     if (rule.probability < 1.0 && !rng.chance(rule.probability)) continue;
-    return &rule;
+    fired.rule = &rule;
+    return fired;
   }
-  return nullptr;
-}
-
-std::string corruptHeaderValue(std::string_view value, util::Pcg32& rng) {
-  if (value.empty()) return std::string(1, '\x01');
-  std::string out(value);
-  const std::uint32_t mutations =
-      1 + rng.uniform(0, static_cast<std::uint32_t>(out.size() > 4 ? 3 : 1));
-  for (std::uint32_t m = 0; m < mutations; ++m) {
-    const std::uint32_t pos =
-        rng.uniform(0, static_cast<std::uint32_t>(out.size() - 1));
-    // Arbitrary printable byte — may corrupt the name, the value, an '='
-    // or a ';', so downstream parsers see every flavour of garbage.
-    out[pos] = static_cast<char>(rng.uniform(33, 126));
-  }
-  return out;
+  return fired;
 }
 
 }  // namespace cookiepicker::faults

@@ -4,15 +4,15 @@
 // hosts, which request kinds, which request indices, and what goes wrong —
 // synthetic 5xx, dropped connections, virtual-clock timeouts, truncated
 // bodies, corrupted Set-Cookie headers, slow-drip responses, and flapping
-// (fail K requests, recover for R, repeat). The Network evaluates the plan
-// per host under that host's dispatch lock, drawing every probabilistic
-// gate from the host's forked RNG stream, so a faulty run is exactly as
-// reproducible as a healthy one and fleet results stay byte-identical for
-// any worker count.
+// (fail K requests, recover for R, repeat). Both transports, the sim
+// Network and the socket origin tier, evaluate the plan per host through a
+// FaultPlanSlot (fault_engine.h), drawing every probabilistic gate from the
+// host's forked RNG stream, so a faulty run is exactly as reproducible as a
+// healthy one and fleet results stay byte-identical for any worker count.
 //
-// This library deliberately depends only on cp_util: the Network consumes
-// it, not the other way around. Request kinds are expressed as the Scope
-// enum here; net::Network maps its RequestKind onto it.
+// This library deliberately depends only on cp_util: the transports
+// consume it, not the other way around. Request kinds are expressed as the
+// Scope enum here; net::faultScope maps RequestKind onto it.
 #pragma once
 
 #include <cstdint>
@@ -101,9 +101,8 @@ struct FaultPlan {
   // duplicate key, probability outside [0,1], or status outside [100,599].
   static std::optional<FaultPlan> parse(std::string_view text);
 
-  // The legacy Network::setFailureProbability knob as sugar: one wildcard
-  // rule that 503s any request to a known host with the given probability,
-  // reproducing the old single chance(p) draw per dispatch.
+  // One wildcard rule that 503s any request to a known host with the given
+  // probability: one chance(p) draw per dispatch.
   static std::shared_ptr<const FaultPlan> uniformFailure(double probability);
 
   bool operator==(const FaultPlan&) const = default;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <optional>
 #include <thread>
 
@@ -13,12 +14,6 @@
 #include "util/strings.h"
 
 namespace cookiepicker::fleet {
-
-int FleetReport::totalPersistentCookies() const {
-  int total = 0;
-  for (const HostResult& host : hosts) total += host.report.persistentCookies;
-  return total;
-}
 
 int FleetReport::totalMarkedUseful() const {
   int total = 0;
@@ -53,6 +48,17 @@ std::string FleetReport::auditJsonl() const {
   return out;
 }
 
+namespace {
+
+// Shortest round-trip form, so distinct thresholds never print alike.
+std::string shortestDouble(double value) {
+  char buffer[32];
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  return std::string(buffer, ec == std::errc() ? end : buffer);
+}
+
+}  // namespace
+
 TrainingFleet::TrainingFleet(net::Transport& network, FleetConfig config)
     : network_(network), config_(std::move(config)) {}
 
@@ -69,11 +75,38 @@ std::string TrainingFleet::configFingerprint() const {
                 static_cast<int>(config_.picker.forcum.groupMode)),
             ":", config_.picker.forcum.consistencyReprobe ? "1" : "0", ":",
             config_.knowledge != nullptr ? "k1" : "k0"});
-  // Appended only when attribution is on, so Off-mode fingerprints keep
-  // their pre-tier bytes and recovered shards from older builds stay valid.
-  if (config_.picker.forcum.attribution != core::AttributionMode::Off) {
-    out += ":attr1";
+  // Every other setting that changes a session's bytes is appended only
+  // when it differs from its default, so default-config fingerprints keep
+  // their older bytes and shards sealed by older builds stay valid.
+  const auto appendIf = [&out](bool differs, std::string_view tag,
+                               const std::string& value) {
+    if (differs) util::appendParts(out, {":", tag, value});
+  };
+  const core::CookiePickerConfig defaults;
+  const core::ForcumConfig& forcum = config_.picker.forcum;
+  const core::DecisionConfig& decision = forcum.decision;
+  const core::DecisionConfig& base = defaults.forcum.decision;
+  appendIf(forcum.attribution != core::AttributionMode::Off, "attr", "1");
+  appendIf(config_.picker.autoEnforce != defaults.autoEnforce, "auto", "1");
+  appendIf(forcum.stableViewThreshold != defaults.forcum.stableViewThreshold,
+           "stable", std::to_string(forcum.stableViewThreshold));
+  appendIf(decision.treeThreshold != base.treeThreshold, "tree",
+           shortestDouble(decision.treeThreshold));
+  appendIf(decision.textThreshold != base.textThreshold, "text",
+           shortestDouble(decision.textThreshold));
+  appendIf(decision.maxLevel != base.maxLevel, "level",
+           std::to_string(decision.maxLevel));
+  appendIf(decision.mode != base.mode, "mode",
+           std::to_string(static_cast<int>(decision.mode)));
+  appendIf(decision.sameContextCredit != base.sameContextCredit, "ctx", "0");
+  const core::CvceOptions& cvce = decision.cvce;
+  std::string filters;
+  for (const bool on : {cvce.filterScriptsAndStyles, cvce.filterAdvertisement,
+                        cvce.filterDateTime, cvce.filterOptionText,
+                        cvce.filterNonAlphanumeric}) {
+    filters += on ? '1' : '0';
   }
+  appendIf(filters != "11111", "cvce", filters);
   return out;
 }
 

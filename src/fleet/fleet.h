@@ -98,7 +98,6 @@ struct FleetReport {
   // Always in roster order, whatever order the queue drained in.
   std::vector<HostResult> hosts;
 
-  int totalPersistentCookies() const;
   int totalMarkedUseful() const;
 
   // Concatenation of every host session's state, in roster order — the blob

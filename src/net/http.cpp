@@ -59,6 +59,16 @@ HttpResponse HttpResponse::notFound(const std::string& path) {
   return response;
 }
 
+HttpResponse HttpResponse::error(int status, std::string statusText) {
+  HttpResponse response;
+  response.status = status;
+  response.statusText = std::move(statusText);
+  response.headers.set("Content-Type", "text/html");
+  response.body = "<html><body><h1>" + std::to_string(status) + " " +
+                  response.statusText + "</h1></body></html>";
+  return response;
+}
+
 HttpResponse HttpResponse::redirect(const std::string& location, int status) {
   HttpResponse response;
   response.status = status;

@@ -86,6 +86,8 @@ struct HttpResponse {
   static HttpResponse ok(std::string body,
                          std::string contentType = "text/html");
   static HttpResponse notFound(const std::string& path);
+  // A bare "<h1>NNN statusText</h1>" HTML page under that status line.
+  static HttpResponse error(int status, std::string statusText);
   static HttpResponse redirect(const std::string& location, int status = 302);
 };
 

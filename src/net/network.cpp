@@ -61,42 +61,12 @@ void Network::registerHost(const std::string& host,
   entry->profile = profile;
   // Keyed by host name so the stream survives re-registration and does not
   // depend on registration order.
-  entry->rng = util::Pcg32(seed_, /*sequence=*/0x6e657477UL).fork(key);
+  entry->rng = hostStream(seed_, key);
   std::unique_lock lock(registryMutex_);
   hosts_[key] = std::move(entry);
 }
 
-bool Network::knowsHost(const std::string& host) const {
-  std::shared_lock lock(registryMutex_);
-  return hosts_.contains(util::toLowerAscii(host));
-}
-
-void Network::setFaultPlan(std::shared_ptr<const faults::FaultPlan> plan) {
-  std::lock_guard lock(faultPlanMutex_);
-  faultPlan_ = std::move(plan);
-  ++faultPlanGeneration_;
-}
-
-std::shared_ptr<const faults::FaultPlan> Network::faultPlan() const {
-  std::lock_guard lock(faultPlanMutex_);
-  return faultPlan_;
-}
-
-void Network::setFailureProbability(double probability) {
-  setFaultPlan(probability > 0.0 ? faults::FaultPlan::uniformFailure(probability)
-                                 : nullptr);
-}
-
 namespace {
-
-faults::Scope scopeForKind(RequestKind kind) {
-  switch (kind) {
-    case RequestKind::Container: return faults::Scope::Container;
-    case RequestKind::Subresource: return faults::Scope::Subresource;
-    case RequestKind::Hidden: return faults::Scope::Hidden;
-  }
-  return faults::Scope::Container;
-}
 
 obs::Counter counterForAction(faults::Action action) {
   switch (action) {
@@ -111,13 +81,6 @@ obs::Counter counterForAction(faults::Action action) {
     case faults::Action::SlowDrip: return obs::Counter::FaultSlowDrips;
   }
   return obs::Counter::FaultServerErrors;
-}
-
-// Actions that replace the exchange outright, before the handler runs.
-bool isShortCircuitAction(faults::Action action) {
-  return action == faults::Action::ServerError ||
-         action == faults::Action::ConnectionDrop ||
-         action == faults::Action::Timeout;
 }
 
 }  // namespace
@@ -142,7 +105,6 @@ Exchange Network::dispatch(const HttpRequest& request) {
 
   if (entry == nullptr) {
     exchange.response = HttpResponse::notFound(request.url.toString());
-    exchange.response.status = 404;
     // Stateless per-request stream keyed by (host, path): unknown-host
     // latency is a pure function of the request, so concurrent sessions
     // probing the same missing host cannot perturb each other.
@@ -152,59 +114,33 @@ Exchange Network::dispatch(const HttpRequest& request) {
         LatencyProfile::fast().sampleMs(rng, exchange.response.body.size());
     exchange.responseBytes = wireSize(exchange.response);
   } else {
-    std::shared_ptr<const faults::FaultPlan> plan;
-    std::uint64_t planGeneration = 0;
-    {
-      std::lock_guard planLock(faultPlanMutex_);
-      plan = faultPlan_;
-      planGeneration = faultPlanGeneration_;
-    }
     std::lock_guard lock(entry->mutex);
-    const faults::FaultRule* fault = nullptr;
-    if (plan != nullptr && !plan->empty()) {
-      fault = entry->faultState.evaluate(
-          *plan, planGeneration, request.url.host(),
-          scopeForKind(request.kind), request.attempt == 0, entry->rng);
-    }
-    if (fault != nullptr && isShortCircuitAction(fault->action)) {
+    const faults::FiredRule fault = faultPlan_.evaluate(
+        entry->faultState, request.url.host(), faultScope(request.kind),
+        request.attempt == 0, entry->rng);
+    if (fault && shortCircuits(fault->action)) {
       recordInjectedFault(exchange, fault->action);
-      switch (fault->action) {
-        case faults::Action::ServerError:
-          exchange.response.status = fault->status;
-          exchange.response.statusText = fault->status == 503
-                                             ? "Service Unavailable"
-                                             : "Server Error";
-          exchange.response.headers.set("Content-Type", "text/html");
-          exchange.response.body = "<html><body><h1>" +
-                                   std::to_string(fault->status) + " " +
-                                   exchange.response.statusText +
-                                   "</h1></body></html>";
-          exchange.latencyMs = entry->profile.sampleMs(
-              entry->rng, exchange.response.body.size());
-          break;
-        case faults::Action::ConnectionDrop:
-          exchange.response.status = 0;
-          exchange.response.statusText = "connection dropped";
-          exchange.response.body.clear();
-          exchange.latencyMs = entry->profile.sampleMs(entry->rng, 0);
-          break;
-        case faults::Action::Timeout:
-          // The caller waits out the full virtual deadline before giving
-          // up — a timeout costs clock time, unlike a drop.
-          exchange.response.status = 0;
-          exchange.response.statusText = "timeout";
-          exchange.response.body.clear();
-          exchange.latencyMs =
-              entry->profile.sampleMs(entry->rng, 0) + fault->extraLatencyMs;
-          break;
-        default:
-          break;
+      double extraLatencyMs = 0.0;
+      if (fault->action == faults::Action::ServerError) {
+        exchange.response = serverErrorPage(fault->status);
+      } else {
+        // A drop and a timeout answer status 0 with no body; a timeout
+        // also waits out the full virtual deadline, so it costs clock
+        // time, unlike a drop.
+        const bool timedOut = fault->action == faults::Action::Timeout;
+        exchange.response.status = 0;
+        exchange.response.statusText =
+            timedOut ? kTimedOut : kConnectionDropped;
+        if (timedOut) extraLatencyMs = fault->extraLatencyMs;
       }
+      exchange.latencyMs = entry->profile.sampleMs(
+                               entry->rng, exchange.response.body.size()) +
+                           extraLatencyMs;
       exchange.responseBytes = wireSize(exchange.response);
     } else {
       exchange.response = entry->handler->handle(request);
       double extraLatencyMs = 0.0;
-      if (fault != nullptr) {
+      if (fault) {
         switch (fault->action) {
           case faults::Action::TruncateBody:
             // Only an actual cut counts as injected; Content-Length keeps
@@ -218,20 +154,11 @@ Exchange Network::dispatch(const HttpRequest& request) {
               recordInjectedFault(exchange, fault->action);
             }
             break;
-          case faults::Action::CorruptSetCookie: {
-            const std::vector<std::string> setCookies =
-                exchange.response.headers.getAll("Set-Cookie");
-            if (!setCookies.empty()) {
-              exchange.response.headers.remove("Set-Cookie");
-              for (const std::string& value : setCookies) {
-                exchange.response.headers.add(
-                    "Set-Cookie",
-                    faults::corruptHeaderValue(value, entry->rng));
-              }
+          case faults::Action::CorruptSetCookie:
+            if (corruptSetCookies(exchange.response, entry->rng)) {
               recordInjectedFault(exchange, fault->action);
             }
             break;
-          }
           case faults::Action::SlowDrip:
             extraLatencyMs = fault->extraLatencyMs;
             recordInjectedFault(exchange, fault->action);

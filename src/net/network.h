@@ -15,6 +15,10 @@
 // latency sequence a host serves depends only on the requests sent to that
 // host — never on how requests to different hosts interleave. That is the
 // invariant that keeps fleet results byte-identical across worker counts.
+//
+// Fault injection: a faults::FaultPlanSlot evaluated under the host's lock
+// picks the rule; its effects are the ones net/transport.h shares with the
+// socket origin tier, plus the sim's own wire effect, a status-0 exchange.
 #pragma once
 
 #include <atomic>
@@ -61,7 +65,6 @@ class Network : public Transport {
   void registerHost(const std::string& host,
                     std::shared_ptr<HttpHandler> handler,
                     LatencyProfile profile = LatencyProfile::typical());
-  bool knowsHost(const std::string& host) const;
 
   // Dispatches a request to the host's handler. Unknown hosts get a
   // synthetic 404 with fast latency (a resolver failure would be faster
@@ -75,12 +78,9 @@ class Network : public Transport {
   // faulty run is as reproducible as a clean one. nullptr (or an empty
   // plan) disables injection. Installing a plan resets the per-host
   // schedule cursors; safe to call between or during runs.
-  void setFaultPlan(std::shared_ptr<const faults::FaultPlan> plan);
-  std::shared_ptr<const faults::FaultPlan> faultPlan() const;
-
-  // Legacy knob, kept as sugar: compiles to a one-rule plan that 503s any
-  // request with the given probability (<= 0 clears the plan).
-  void setFailureProbability(double probability);
+  void setFaultPlan(std::shared_ptr<const faults::FaultPlan> plan) {
+    faultPlan_.install(std::move(plan));
+  }
 
   std::uint64_t injectedFailures() const {
     return injectedFailures_.load(std::memory_order_relaxed);
@@ -94,9 +94,6 @@ class Network : public Transport {
   // extra workers win by overlapping waits.
   void setWallLatencyScale(double scale) {
     wallLatencyScale_.store(scale, std::memory_order_relaxed);
-  }
-  double wallLatencyScale() const {
-    return wallLatencyScale_.load(std::memory_order_relaxed);
   }
 
   // --- accounting (reset per experiment as needed) ---
@@ -150,8 +147,8 @@ class Network : public Transport {
   struct HostEntry {
     std::shared_ptr<HttpHandler> handler;
     LatencyProfile profile;
-    // Per-host latency stream: forked from the network seed, keyed by host
-    // name, advanced only by requests to this host.
+    // Per-host latency and fault stream (net::hostStream), advanced only
+    // by requests to this host.
     util::Pcg32 rng;
     // Fault-schedule cursors for this host (logical indices, flap phases);
     // mutated under the host lock only.
@@ -167,17 +164,7 @@ class Network : public Transport {
   std::atomic<std::uint64_t> totalBytes_{0};
   std::atomic<std::uint64_t> injectedFailures_{0};
   std::atomic<double> wallLatencyScale_{0.0};
-  // The installed fault plan and its generation counter. Each install bumps
-  // the generation, which the per-host states notice to reset their
-  // cursors. A plain mutex: the critical section is two pointer-sized
-  // copies, far cheaper than the handler work it precedes.
-  std::shared_ptr<const faults::FaultPlan> faultPlan_;
-  std::uint64_t faultPlanGeneration_ = 0;
-  mutable std::mutex faultPlanMutex_;
+  faults::FaultPlanSlot faultPlan_;
 };
-
-// The seeded-latency simulation is one transport among others; the name the
-// transport seam documentation uses for it.
-using SimTransport = Network;
 
 }  // namespace cookiepicker::net

@@ -4,7 +4,7 @@
 // speaks to this interface, not to a concrete network. Two implementations
 // exist:
 //
-//  * net::Network (aliased SimTransport): the in-process seeded-latency
+//  * net::Network (the sim transport): the in-process seeded-latency
 //    simulation. It answers synchronously, models latency from per-host RNG
 //    streams, and leaves retry/backoff timing to the caller's virtual
 //    clock — the determinism contract every byte-identity test rides on.
@@ -21,8 +21,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "faults/fault_plan.h"
 #include "net/http.h"
 #include "util/rng.h"
 
@@ -87,6 +89,30 @@ std::string fetchFailureReason(const HttpResponse& response);
 // A body shorter than its declared Content-Length — the signature a
 // mid-transfer truncation leaves behind.
 bool bodyTruncated(const HttpResponse& response);
+
+// --- fault effects both transports share -----------------------------------
+// A faults::FaultPlanSlot picks the rule; each transport keeps only its own
+// wire effect for the short-circuit actions (a status-0 exchange in the
+// sim, a closed or parked connection on a socket).
+
+// The status-0 reasons a failed exchange names in its statusText.
+inline constexpr char kConnectionDropped[] = "connection dropped";
+inline constexpr char kTimedOut[] = "timeout";
+
+// The fault scope a request kind is scheduled under.
+faults::Scope faultScope(RequestKind kind);
+// Actions that answer in place of the handler, which never runs.
+bool shortCircuits(faults::Action action);
+// A host's fault (and, in the sim, latency) stream: forked from the
+// transport seed and keyed by host name, so its draws depend only on the
+// requests sent to that host.
+util::Pcg32 hostStream(std::uint64_t seed, std::string_view host);
+// The page a server-error fault answers with.
+HttpResponse serverErrorPage(int status);
+// The corrupt-set-cookie effect: garbles every Set-Cookie value with draws
+// from `rng`, moving the headers to the end in their order. Returns false,
+// drawing nothing, when the response sets no cookie.
+bool corruptSetCookies(HttpResponse& response, util::Pcg32& rng);
 
 class Transport {
  public:

@@ -64,7 +64,6 @@ void AsyncHttpClient::fetchOnLoop(net::HttpRequest request,
     net::Exchange exchange;
     exchange.requestBytes = serializeRequest(request).size();
     exchange.response = net::HttpResponse::notFound(request.url.toString());
-    exchange.response.status = 404;
     exchange.responseBytes = net::wireSize(exchange.response);
     {
       std::lock_guard<std::mutex> lock(statsMutex_);
@@ -107,7 +106,7 @@ void AsyncHttpClient::pump(const std::string& host) {
         net::Exchange exchange;
         exchange.requestBytes = serializeRequest(pending.request).size();
         exchange.response.status = 0;
-        exchange.response.statusText = "connection dropped";
+        exchange.response.statusText = net::kConnectionDropped;
         {
           std::lock_guard<std::mutex> lock(statsMutex_);
           ++stats_.dispatches;
@@ -141,7 +140,7 @@ AsyncHttpClient::Conn* AsyncHttpClient::openConnection(const std::string& host,
     ::close(fd);
     return nullptr;
   }
-  auto conn = std::make_unique<Conn>(fd, config_.limits);
+  auto conn = std::make_unique<Conn>(fd);
   conn->id = nextConnId_++;
   conn->host = host;
   conn->connecting = (rc != 0);
@@ -191,12 +190,12 @@ void AsyncHttpClient::sendOn(Conn* conn, Pending pending) {
           std::lock_guard<std::mutex> lock(statsMutex_);
           ++stats_.timeouts;
         }
-        failConnection(held, "timeout");
+        failConnection(held, net::kTimedOut);
       });
   conn->inflight.push_back(std::move(flight));
   if (!conn->connecting) {
     if (!conn->socket.flush()) {
-      failConnection(conn, "connection dropped");
+      failConnection(conn, net::kConnectionDropped);
       return;
     }
     armWritable(conn, conn->socket.wantsWrite());
@@ -226,13 +225,13 @@ void AsyncHttpClient::onConnEvent(int fd, std::uint64_t id,
       socklen_t len = sizeof(soError);
       ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soError, &len);
       if (soError != 0) {
-        failConnection(conn, "connection dropped");
+        failConnection(conn, net::kConnectionDropped);
         return;
       }
       conn->connecting = false;
     }
     if (!conn->socket.flush()) {
-      failConnection(conn, "connection dropped");
+      failConnection(conn, net::kConnectionDropped);
       return;
     }
     armWritable(conn, conn->socket.wantsWrite());
@@ -240,7 +239,7 @@ void AsyncHttpClient::onConnEvent(int fd, std::uint64_t id,
     if (conn == nullptr) return;
   }
   if (events & EventLoop::kError) {
-    failConnection(conn, "connection dropped");
+    failConnection(conn, net::kConnectionDropped);
     return;
   }
   if (events & EventLoop::kReadable) {
@@ -264,7 +263,7 @@ void AsyncHttpClient::onReadable(Conn* conn) {
       continue;
     }
     if (status == ParseStatus::Error) {
-      failConnection(conn, "connection dropped");
+      failConnection(conn, net::kConnectionDropped);
       return;
     }
     break;
@@ -280,7 +279,7 @@ void AsyncHttpClient::onReadable(Conn* conn) {
       return;
     }
     if (!conn->inflight.empty()) {
-      failConnection(conn, "connection dropped");
+      failConnection(conn, net::kConnectionDropped);
       return;
     }
     destroyConnection(conn, /*requeueInflight=*/false);
@@ -332,13 +331,10 @@ void AsyncHttpClient::failConnection(Conn* conn, const char* reason) {
     exchange.requestBytes = flight.requestBytes;
     exchange.response.status = 0;
     exchange.response.statusText = reason;
-    {
+    if (std::string_view(reason) != net::kTimedOut) {
+      // A timeout was counted by its deadline callback.
       std::lock_guard<std::mutex> lock(statsMutex_);
-      if (std::string_view(reason) == "timeout") {
-        // counted by the deadline callback
-      } else {
-        ++stats_.drops;
-      }
+      ++stats_.drops;
     }
     const std::string host = conn->host;
     destroyConnection(conn, /*requeueInflight=*/true);

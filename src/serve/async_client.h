@@ -6,10 +6,10 @@
 // (HTTP/1.1's pipelining contract). Requests beyond the caps queue per
 // host and drain as slots free up.
 //
-// Failure handling mirrors the sim Network's vocabulary so everything
-// above the Transport seam classifies identically:
-//   * peer closes before any response bytes → status 0 "connection dropped"
-//   * per-request deadline expires          → status 0 "timeout"
+// Failure handling speaks the sim Network's status-0 vocabulary so
+// everything above the Transport seam classifies identically:
+//   * peer closes before any response bytes → status 0, kConnectionDropped
+//   * per-request deadline expires          → status 0, kTimedOut
 //   * peer closes mid-body                  → the declared Content-Length
 //     survives with the short body, so net::bodyTruncated() fires
 // A connection that dies with pipelined requests behind the failed one
@@ -48,7 +48,6 @@ struct AsyncClientConfig {
   int maxPipelineDepth = 1;
   double requestDeadlineMs = 30000.0;
   std::uint64_t seed = 1;  // backoff jitter stream
-  Http1Limits limits;
 };
 
 struct AsyncClientStats {
@@ -107,7 +106,7 @@ class AsyncHttpClient {
     bool connecting = true;
     bool writableArmed = true;  // armed while the connect is in flight
     std::uint64_t sentCount = 0;
-    Conn(int fd, Http1Limits limits) : socket(fd), parser(limits) {}
+    explicit Conn(int fd) : socket(fd) {}
   };
   struct HostPool {
     std::deque<Pending> queue;

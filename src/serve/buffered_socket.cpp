@@ -17,7 +17,6 @@ std::size_t BufferedSocket::fillFromSocket() {
     if (n > 0) {
       inbox_.append(chunk, static_cast<std::size_t>(n));
       total += static_cast<std::size_t>(n);
-      bytesRead_ += static_cast<std::size_t>(n);
       continue;
     }
     if (n == 0) {
@@ -37,7 +36,6 @@ bool BufferedSocket::flush() {
     const ssize_t n =
         ::send(fd_, outbox_.data(), outbox_.size(), MSG_NOSIGNAL);
     if (n > 0) {
-      bytesWritten_ += static_cast<std::size_t>(n);
       outbox_.erase(0, static_cast<std::size_t>(n));
       continue;
     }
@@ -47,10 +45,6 @@ bool BufferedSocket::flush() {
     return false;
   }
   return true;
-}
-
-void BufferedSocket::shutdownWrite() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
 }
 
 void BufferedSocket::close() {

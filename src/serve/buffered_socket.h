@@ -29,23 +29,17 @@ class BufferedSocket {
   std::size_t fillFromSocket();
 
   std::string& inbox() { return inbox_; }
-  void consume(std::size_t n) { inbox_.erase(0, n); }
 
   void queueWrite(std::string_view bytes) { outbox_.append(bytes); }
   // Writes until the outbox empties or EAGAIN; returns false on hard error.
   bool flush();
   bool wantsWrite() const { return !outbox_.empty(); }
-  std::size_t outboxBytes() const { return outbox_.size(); }
 
   // Peer closed its write side (read returned 0).
   bool eof() const { return eof_; }
   bool hadError() const { return error_; }
   int fd() const { return fd_; }
 
-  std::size_t bytesRead() const { return bytesRead_; }
-  std::size_t bytesWritten() const { return bytesWritten_; }
-
-  void shutdownWrite();
   void close();
 
  private:
@@ -54,8 +48,6 @@ class BufferedSocket {
   std::string outbox_;
   bool eof_ = false;
   bool error_ = false;
-  std::size_t bytesRead_ = 0;
-  std::size_t bytesWritten_ = 0;
 };
 
 }  // namespace cookiepicker::serve

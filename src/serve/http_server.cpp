@@ -17,20 +17,9 @@ namespace cookiepicker::serve {
 
 namespace {
 
-faults::Scope scopeForKind(net::RequestKind kind) {
-  switch (kind) {
-    case net::RequestKind::Container: return faults::Scope::Container;
-    case net::RequestKind::Subresource: return faults::Scope::Subresource;
-    case net::RequestKind::Hidden: return faults::Scope::Hidden;
-  }
-  return faults::Scope::Container;
-}
-
-bool isShortCircuitAction(faults::Action action) {
-  return action == faults::Action::ServerError ||
-         action == faults::Action::ConnectionDrop ||
-         action == faults::Action::Timeout;
-}
+// Slow-drip responses are cut into this many chunked pieces, spaced evenly
+// across the rule's extra-ms.
+constexpr int kSlowDripPieces = 4;
 
 // The Host header without an optional :port suffix, lowercased.
 std::string hostOf(const ParsedRequest& parsed) {
@@ -40,23 +29,11 @@ std::string hostOf(const ParsedRequest& parsed) {
   return util::toLowerAscii(host);
 }
 
-// Byte-identical to the sim Network's synthetic server-error page.
-net::HttpResponse syntheticServerError(int status) {
-  net::HttpResponse response;
-  response.status = status;
-  response.statusText =
-      status == 503 ? "Service Unavailable" : "Server Error";
-  response.headers.set("Content-Type", "text/html");
-  response.body = "<html><body><h1>" + std::to_string(status) + " " +
-                  response.statusText + "</h1></body></html>";
-  return response;
-}
-
 }  // namespace
 
 HttpServer::HttpServer(EventLoop& loop, HostRouter router, std::uint64_t seed,
-                       HttpServerConfig config)
-    : loop_(loop), router_(std::move(router)), seed_(seed), config_(config) {}
+                       const faults::FaultPlanSlot* faults)
+    : loop_(loop), router_(std::move(router)), seed_(seed), faults_(faults) {}
 
 HttpServer::~HttpServer() {
   // Connection state is loop-confined; drop it on the loop thread (or
@@ -101,12 +78,6 @@ std::uint16_t HttpServer::listen(std::uint16_t port) {
   return ntohs(addr.sin_port);
 }
 
-void HttpServer::setFaultPlan(std::shared_ptr<const faults::FaultPlan> plan) {
-  std::lock_guard<std::mutex> lock(faultPlanMutex_);
-  faultPlan_ = std::move(plan);
-  ++faultPlanGeneration_;
-}
-
 void HttpServer::onAcceptable() {
   while (true) {
     const int fd = ::accept4(listenFd_, nullptr, nullptr,
@@ -118,7 +89,7 @@ void HttpServer::onAcceptable() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_unique<Connection>(fd, config_.limits);
+    auto conn = std::make_unique<Connection>(fd);
     conn->id = nextConnectionId_++;
     Connection* raw = conn.get();
     connections_[fd] = std::move(conn);
@@ -182,17 +153,11 @@ void HttpServer::parseAndPump(Connection* conn) {
     if (status == ParseStatus::Error) {
       ++stats_.parseErrors;
       obs::countGlobal(obs::Counter::ServeParseErrors);
-      net::HttpResponse reject;
-      if (conn->parser.error() == "oversized-headers") {
-        reject.status = 431;
-        reject.statusText = "Request Header Fields Too Large";
-      } else {
-        reject.status = 400;
-        reject.statusText = "Bad Request";
-      }
-      reject.headers.set("Content-Type", "text/html");
-      reject.body = "<html><body><h1>" + std::to_string(reject.status) + " " +
-                    reject.statusText + "</h1></body></html>";
+      const net::HttpResponse reject =
+          conn->parser.error() == "oversized-headers"
+              ? net::HttpResponse::error(431,
+                                         "Request Header Fields Too Large")
+              : net::HttpResponse::error(400, "Bad Request");
       ResponseWireOptions options;
       options.keepAlive = false;
       conn->socket.queueWrite(serializeResponse(reject, options));
@@ -231,9 +196,9 @@ HttpServer::HostFaults& HttpServer::faultsFor(const std::string& host) {
   auto it = hostFaults_.find(host);
   if (it == hostFaults_.end()) {
     HostFaults entry;
-    // Same per-host stream construction as the sim Network, so a plan with
-    // probabilistic gates draws comparably structured randomness.
-    entry.rng = util::Pcg32(seed_, /*sequence=*/0x6e657477UL).fork(host);
+    // The sim Network's per-host stream, so probability gates and
+    // Set-Cookie corruption draw alike on both transports.
+    entry.rng = net::hostStream(seed_, host);
     it = hostFaults_.emplace(host, std::move(entry)).first;
   }
   return it->second;
@@ -247,80 +212,59 @@ void HttpServer::serveOne(Connection* conn, const ParsedRequest& parsed) {
   ResponseWireOptions options;
   options.keepAlive = parsed.keepAlive;
 
-  if (handler == nullptr) {
-    // Same page the sim serves for an unregistered host.
-    net::HttpResponse response = net::HttpResponse::notFound(
-        request.url.toString());
-    response.status = 404;
-    ++stats_.requestsServed;
-    obs::countGlobal(obs::Counter::ServeRequestsServed);
-    conn->socket.queueWrite(serializeResponse(response, options));
-    if (!parsed.keepAlive) conn->closing = true;
+  faults::FiredRule fault;
+  HostFaults* hostFaults = nullptr;
+  if (handler != nullptr && faults_ != nullptr) {
+    hostFaults = &faultsFor(host);
+    fault = faults_->evaluate(hostFaults->state, host,
+                              net::faultScope(request.kind),
+                              request.attempt == 0, hostFaults->rng);
+  }
+  const auto countFault = [this]() {
+    ++stats_.faultsInjected;
+    obs::countGlobal(obs::Counter::ServeFaultsInjected);
+  };
+  // The handler never runs; what goes on the wire instead is this server's.
+  const bool shortCircuit = fault && net::shortCircuits(fault->action);
+  if (shortCircuit) countFault();
+
+  if (fault && fault->action == faults::Action::ConnectionDrop) {
+    // Close with nothing on the wire. Requests pipelined behind this one
+    // die unevaluated; the client re-issues them elsewhere.
+    closeConnection(conn);
+    return;
+  }
+  if (fault && fault->action == faults::Action::Timeout) {
+    // Go silent, then drop. The connection is parked: no pipelined request
+    // behind it is served meanwhile.
+    conn->busy = true;
+    const int fd = conn->socket.fd();
+    const std::uint64_t id = conn->id;
+    loop_.runAfter(fault->extraLatencyMs,
+                   [this, fd, id, alive = std::weak_ptr<char>(aliveToken_)]() {
+                     if (alive.expired()) return;  // server gone, loop up
+                     if (Connection* held = findConnection(fd, id)) {
+                       closeConnection(held);
+                     }
+                   });
     return;
   }
 
-  std::shared_ptr<const faults::FaultPlan> plan;
-  std::uint64_t generation = 0;
-  {
-    std::lock_guard<std::mutex> lock(faultPlanMutex_);
-    plan = faultPlan_;
-    generation = faultPlanGeneration_;
+  net::HttpResponse response;
+  if (handler == nullptr) {
+    // Same page the sim serves for an unregistered host.
+    response = net::HttpResponse::notFound(request.url.toString());
+  } else if (shortCircuit) {  // the one left: a server error
+    response = net::serverErrorPage(fault->status);
+  } else {
+    response = handler->handle(request);
   }
-  const faults::FaultRule* fault = nullptr;
-  HostFaults& hostState = faultsFor(host);
-  if (plan != nullptr && !plan->empty()) {
-    fault = hostState.state.evaluate(*plan, generation, host,
-                                     scopeForKind(request.kind),
-                                     request.attempt == 0, hostState.rng);
-  }
-
-  if (fault != nullptr && isShortCircuitAction(fault->action)) {
-    ++stats_.faultsInjected;
-    obs::countGlobal(obs::Counter::ServeFaultsInjected);
-    switch (fault->action) {
-      case faults::Action::ServerError: {
-        ++stats_.requestsServed;
-        obs::countGlobal(obs::Counter::ServeRequestsServed);
-        conn->socket.queueWrite(
-            serializeResponse(syntheticServerError(fault->status), options));
-        if (!parsed.keepAlive) conn->closing = true;
-        return;
-      }
-      case faults::Action::ConnectionDrop: {
-        // Close with nothing on the wire. Requests pipelined behind this
-        // one die unevaluated; the client re-issues them elsewhere.
-        closeConnection(conn);
-        return;
-      }
-      case faults::Action::Timeout: {
-        // Go silent, then drop. The connection is parked: no pipelined
-        // request behind it is served meanwhile.
-        conn->busy = true;
-        const int fd = conn->socket.fd();
-        const std::uint64_t id = conn->id;
-        loop_.runAfter(fault->extraLatencyMs,
-                       [this, fd, id,
-                        alive = std::weak_ptr<char>(aliveToken_)]() {
-          if (alive.expired()) return;  // server destroyed, loop still up
-          if (Connection* held = findConnection(fd, id)) {
-            closeConnection(held);
-          }
-        });
-        return;
-      }
-      default:
-        break;
-    }
-  }
-
-  net::HttpResponse response = handler->handle(request);
   ++stats_.requestsServed;
   obs::countGlobal(obs::Counter::ServeRequestsServed);
 
-  if (fault != nullptr && fault->action == faults::Action::TruncateBody) {
+  if (fault && fault->action == faults::Action::TruncateBody) {
     if (response.body.size() > fault->truncateAtBytes) {
-      ++stats_.faultsInjected;
-      obs::countGlobal(obs::Counter::ServeFaultsInjected);
+      countFault();
       options.declaredContentLength = response.body.size();
       options.keepAlive = false;
       response.body.resize(
@@ -329,29 +273,19 @@ void HttpServer::serveOne(Connection* conn, const ParsedRequest& parsed) {
       conn->closing = true;  // the lying Content-Length poisons the stream
       return;
     }
-    fault = nullptr;
+    fault = {};
   }
-  if (fault != nullptr && fault->action == faults::Action::CorruptSetCookie) {
-    const std::vector<std::string> setCookies =
-        response.headers.getAll("Set-Cookie");
-    if (!setCookies.empty()) {
-      ++stats_.faultsInjected;
-      obs::countGlobal(obs::Counter::ServeFaultsInjected);
-      response.headers.remove("Set-Cookie");
-      for (const std::string& value : setCookies) {
-        response.headers.add("Set-Cookie",
-                             faults::corruptHeaderValue(value, hostState.rng));
-      }
-    }
+  if (fault && fault->action == faults::Action::CorruptSetCookie &&
+      net::corruptSetCookies(response, hostFaults->rng)) {
+    countFault();
   }
-  if (fault != nullptr && fault->action == faults::Action::SlowDrip) {
-    ++stats_.faultsInjected;
-    obs::countGlobal(obs::Counter::ServeFaultsInjected);
+  if (fault && fault->action == faults::Action::SlowDrip) {
+    countFault();
     // Trickle the body out as chunked pieces spread across extra-ms. The
     // connection is parked so pipelined responses keep request order.
     conn->busy = true;
     conn->socket.queueWrite(serializeChunkedHead(response, parsed.keepAlive));
-    const int pieces = std::max(1, config_.slowDripPieces);
+    const int pieces = kSlowDripPieces;
     const double stepMs = fault->extraLatencyMs / pieces;
     const std::size_t pieceBytes =
         std::max<std::size_t>(1, (response.body.size() + pieces - 1) / pieces);

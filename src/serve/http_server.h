@@ -5,11 +5,13 @@
 // routes by Host header). Connections are keep-alive by default and
 // process pipelined requests strictly in order.
 //
-// The same faults::FaultPlan rules the sim Network evaluates are applied
-// here — but at the socket layer, where they belong in a real deployment:
+// An origin server reads the OriginTier's one faults::FaultPlanSlot (the
+// verdict frontend passes none), and applies a fired rule with the effects
+// net/transport.h shares with the sim plus its own socket-layer wire
+// effect, where faults belong in a real deployment:
 //
-//  * server-error     → synthetic 5xx written back, handler never runs,
-//                       byte-identical body to the sim's
+//  * server-error     → the shared synthetic 5xx page written back,
+//                       handler never runs
 //  * connection-drop  → TCP close before any response bytes; pipelined
 //                       requests buffered behind the dropped one are
 //                       discarded unevaluated (the client re-sends them on
@@ -20,9 +22,10 @@
 //  * truncate-body    → Content-Length declares the uncut size, the body
 //                       stops early, and the connection closes — the wire
 //                       shape of a mid-transfer cut
-//  * corrupt-set-cookie → Set-Cookie values garbled with the host's RNG
-//  * slow-drip        → the response trickles out as chunked pieces on
-//                       wheel timers spread over extra-ms
+//  * corrupt-set-cookie → Set-Cookie values garbled with the host's stream,
+//                       draw for draw as in the sim
+//  * slow-drip        → the response trickles out as four chunked pieces
+//                       on wheel timers spread over extra-ms
 //
 // Like the sim, fault schedules are per host: each host's cursors advance
 // only with that host's requests, in arrival order on its (single) loop
@@ -33,12 +36,10 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 
 #include "faults/fault_engine.h"
-#include "faults/fault_plan.h"
 #include "net/http.h"
 #include "net/transport.h"
 #include "serve/buffered_socket.h"
@@ -52,13 +53,6 @@ namespace cookiepicker::serve {
 // nullptr for 404. Called on the loop thread only.
 using HostRouter = std::function<net::HttpHandler*(const std::string& host)>;
 
-struct HttpServerConfig {
-  Http1Limits limits;
-  // Slow-drip responses are cut into this many chunked pieces, spaced
-  // evenly across the rule's extra-ms.
-  int slowDripPieces = 4;
-};
-
 struct HttpServerStats {
   std::uint64_t connectionsAccepted = 0;
   std::uint64_t requestsServed = 0;
@@ -68,8 +62,9 @@ struct HttpServerStats {
 
 class HttpServer {
  public:
+  // `faults` (not owned; nullptr for none) must outlive the server.
   HttpServer(EventLoop& loop, HostRouter router, std::uint64_t seed,
-             HttpServerConfig config = {});
+             const faults::FaultPlanSlot* faults = nullptr);
   ~HttpServer();
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
@@ -78,9 +73,6 @@ class HttpServer {
   // the loop. Call before the loop starts running (or from its thread).
   // Returns the bound port.
   std::uint16_t listen(std::uint16_t port = 0);
-
-  // Thread-safe; applies to requests parsed after the swap.
-  void setFaultPlan(std::shared_ptr<const faults::FaultPlan> plan);
 
   // Loop thread (or post-stop) only.
   HttpServerStats stats() const { return stats_; }
@@ -96,8 +88,7 @@ class HttpServer {
     bool busy = false;
     bool closing = false;        // close once the outbox flushes
     bool writableArmed = false;
-    explicit Connection(int fd, Http1Limits limits)
-        : socket(fd), parser(limits) {}
+    explicit Connection(int fd) : socket(fd) {}
   };
 
   void onAcceptable();
@@ -118,7 +109,7 @@ class HttpServer {
   EventLoop& loop_;
   HostRouter router_;
   std::uint64_t seed_;
-  HttpServerConfig config_;
+  const faults::FaultPlanSlot* faults_;
   int listenFd_ = -1;
   std::uint64_t nextConnectionId_ = 1;
   // Wheel timers (timeout holds, slow-drips) capture a weak_ptr to this
@@ -127,10 +118,6 @@ class HttpServer {
   std::shared_ptr<char> aliveToken_ = std::make_shared<char>(0);
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
   std::unordered_map<std::string, HostFaults> hostFaults_;
-
-  mutable std::mutex faultPlanMutex_;
-  std::shared_ptr<const faults::FaultPlan> faultPlan_;
-  std::uint64_t faultPlanGeneration_ = 0;
 
   HttpServerStats stats_;
 };

@@ -7,7 +7,8 @@
 
 namespace cookiepicker::serve {
 
-OriginTier::OriginTier(OriginTierConfig config) : config_(config) {
+OriginTier::OriginTier(OriginTierConfig config)
+    : config_(config), faults_(config_.faultPlan) {
   const int threads = std::max(1, config_.threads);
   for (int i = 0; i < threads; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -29,14 +30,6 @@ void OriginTier::addHost(const std::string& host,
   hostShard_[key] = shard;
 }
 
-void OriginTier::setFaultPlan(
-    std::shared_ptr<const faults::FaultPlan> plan) {
-  for (auto& shard : shards_) {
-    if (shard->server) shard->server->setFaultPlan(plan);
-  }
-  config_.faultPlan = plan;
-}
-
 void OriginTier::start() {
   if (running_) return;
   for (auto& shard : shards_) {
@@ -49,8 +42,7 @@ void OriginTier::start() {
           const auto it = raw->hosts.find(host);
           return it == raw->hosts.end() ? nullptr : it->second.get();
         },
-        config_.seed, config_.server);
-    if (config_.faultPlan) shard->server->setFaultPlan(config_.faultPlan);
+        config_.seed, &faults_);
     shard->port = shard->server->listen(0);
     shard->thread = std::thread([raw]() { raw->loop->run(); });
   }

@@ -8,6 +8,10 @@
 // well-defined order — the socket-tier analog of the sim Network's
 // per-host dispatch mutex.
 //
+// The tier owns one faults::FaultPlanSlot, installed from the config's
+// plan, and every shard's HttpServer reads it, so a plan replays alike on
+// every shard and as in the sim.
+//
 // Register hosts, then start(); the tier binds one ephemeral port per
 // shard and resolves host names to ports via resolver() — the loopback
 // stand-in for DNS that the AsyncHttpClient plugs in.
@@ -22,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "faults/fault_engine.h"
 #include "faults/fault_plan.h"
 #include "net/http.h"
 #include "net/transport.h"
@@ -36,8 +41,7 @@ using HostResolver =
 struct OriginTierConfig {
   int threads = 1;
   std::uint64_t seed = 2007;
-  HttpServerConfig server;
-  // Installed on every shard at start(); swappable later via setFaultPlan.
+  // The plan every shard replays (nullptr: none).
   std::shared_ptr<const faults::FaultPlan> faultPlan;
 };
 
@@ -52,12 +56,8 @@ class OriginTier {
   void addHost(const std::string& host,
                std::shared_ptr<net::HttpHandler> handler);
 
-  // Thread-safe, before or after start().
-  void setFaultPlan(std::shared_ptr<const faults::FaultPlan> plan);
-
   void start();
   void stop();
-  bool running() const { return running_; }
 
   std::optional<std::uint16_t> portForHost(const std::string& host) const;
   HostResolver resolver() const;
@@ -78,6 +78,7 @@ class OriginTier {
   std::size_t shardIndexFor(const std::string& host) const;
 
   OriginTierConfig config_;
+  faults::FaultPlanSlot faults_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unordered_map<std::string, std::size_t> hostShard_;
   bool running_ = false;

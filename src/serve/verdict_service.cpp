@@ -244,9 +244,7 @@ net::HttpResponse VerdictService::handle(const net::HttpRequest& request) {
     }
     return jsonResponse(200, std::move(verdict));
   }
-  net::HttpResponse response = net::HttpResponse::notFound(path);
-  response.status = 404;
-  return response;
+  return net::HttpResponse::notFound(path);
 }
 
 }  // namespace cookiepicker::serve

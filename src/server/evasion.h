@@ -45,7 +45,6 @@ class HiddenRequestDetector {
                       util::SimTimeMs nowMs);
 
   void setWindowMs(util::SimTimeMs windowMs) { windowMs_ = windowMs; }
-  util::SimTimeMs windowMs() const { return windowMs_; }
 
  private:
   std::map<std::string, Observation> history_;

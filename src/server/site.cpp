@@ -16,6 +16,12 @@ bool isAssetPath(const std::string& path) {
          path.ends_with(".png") || path.ends_with(".xml");
 }
 
+// The page skeleton: 4 or 5 content sections of 2 paragraphs each, and 2
+// plain images and a timestamp in the footer.
+constexpr int kSectionsPerPage = 4;
+constexpr int kParagraphsPerSection = 2;
+constexpr int kPlainImages = 2;
+
 }  // namespace
 
 WebSite::WebSite(SiteConfig config, util::SimClock& clock)
@@ -117,13 +123,13 @@ Page WebSite::buildPage(util::Pcg32& stableRng) const {
   Page page;
   page.heading = config_.title;
   const int sections =
-      config_.sectionsPerPage +
+      kSectionsPerPage +
       static_cast<int>(stableRng.uniform(0, 1));  // 4 or 5, stable per path
   page.main.resize(static_cast<std::size_t>(sections));
   for (int s = 0; s < sections; ++s) {
     Block& section = page.main[static_cast<std::size_t>(s)];
     section.kind = BlockKind::Content;
-    appendContentSection(section, stableRng, config_.paragraphsPerSection,
+    appendContentSection(section, stableRng, kParagraphsPerSection,
                          config_.adSlotsPerSection,
                          config_.rotatingHeadlines && s % 2 == 0);
   }
@@ -131,7 +137,7 @@ Page WebSite::buildPage(util::Pcg32& stableRng) const {
   // A handful of plain images (object requests for the browser to fetch).
   std::string& footer = page.footer.html;
   footer = "<footer>";
-  for (int i = 0; i < config_.plainImages; ++i) {
+  for (int i = 0; i < kPlainImages; ++i) {
     footer += "<img src=\"/assets/banner" + std::to_string(i) + ".png\">";
   }
   for (int i = 0; i < config_.pixelTrackers; ++i) {
@@ -140,13 +146,9 @@ Page WebSite::buildPage(util::Pcg32& stableRng) const {
   }
   footer += "<p>(c) ";
   appendEscapedText(footer, config_.title);
-  footer += " — all rights reserved.</p>";
-  if (config_.timestampInFooter) {
-    footer += "<span class=\"timestamp\">";
-    page.footer.addHole(HoleKind::Timestamp);
-    footer += "</span>";
-  }
-  footer += "</footer>";
+  footer += " — all rights reserved.</p><span class=\"timestamp\">";
+  page.footer.addHole(HoleKind::Timestamp);
+  footer += "</span></footer>";
   return page;
 }
 

@@ -26,13 +26,9 @@ struct SiteConfig {
   std::string category;          // one of the 15 directory categories
   int pageCount = 30;
   std::uint64_t seed = 1;
-  int sectionsPerPage = 4;       // skeleton richness knobs
-  int paragraphsPerSection = 2;
-  int adSlotsPerSection = 1;
+  int adSlotsPerSection = 1;     // skeleton richness knobs
   bool rotatingHeadlines = true;
-  bool timestampInFooter = true;
   int pixelTrackers = 0;         // <img src="/metrics/<k>/pixel.gif"> count
-  int plainImages = 2;
   bool useRedirectEntry = false; // "/" issues a 302 to "/home" first
 };
 

@@ -275,7 +275,6 @@ class StateStore {
   // Deterministic crash injection: shards consult the schedule for their
   // crash point. Set before any session writes.
   void setCrashSchedule(faults::CrashSchedule schedule);
-  const faults::CrashSchedule& crashSchedule() const { return schedule_; }
 
   // Whole-process crash simulation (see file comment, rule 3).
   bool crashed() const { return crashed_.load(std::memory_order_acquire); }

@@ -20,7 +20,6 @@ enum class LogLevel { Trace = 0, Debug = 1, Info = 2, Warn = 3, Error = 4 };
 class Logger {
  public:
   static LogLevel threshold();
-  static void setThreshold(LogLevel level);
   static void write(LogLevel level, const std::string& message);
   static const char* levelName(LogLevel level);
 

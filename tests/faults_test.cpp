@@ -1,8 +1,7 @@
 // The deterministic fault-injection engine: plan format round-trips, every
 // action observable at the dispatch boundary, schedule semantics (index
 // windows, scopes, flapping, retry/logical-index sharing), determinism
-// across identical runs, the legacy setFailureProbability sugar, and the
-// acceptance invariant — a faulty 64-host fleet is byte-identical for 1 vs
+// across identical runs, and the acceptance invariant — a faulty 64-host fleet is byte-identical for 1 vs
 // 8 workers.
 #include <gtest/gtest.h>
 
@@ -406,34 +405,6 @@ TEST(FaultSchedule, ProbabilisticPlansReplayIdentically) {
   }
   EXPECT_GT(drops, 0);
   EXPECT_GT(cleans, 0);
-}
-
-// --- legacy sugar ------------------------------------------------------------
-
-TEST(LegacySugar, FailureProbabilityCompilesToUniformPlan) {
-  SimWorld legacy(11);
-  SimWorld planned(11);
-  const auto spec = legacy.addGenericSite("sugar.example");
-  planned.addGenericSite("sugar.example");
-
-  legacy.network.setFailureProbability(0.3);
-  ASSERT_NE(legacy.network.faultPlan(), nullptr);
-  EXPECT_EQ(*legacy.network.faultPlan(),
-            *faults::FaultPlan::uniformFailure(0.3));
-  planned.network.setFaultPlan(faults::FaultPlan::uniformFailure(0.3));
-
-  for (int i = 0; i < 60; ++i) {
-    const net::Exchange a =
-        legacy.network.dispatch(makeRequest(legacy.urlFor(spec)));
-    const net::Exchange b =
-        planned.network.dispatch(makeRequest(planned.urlFor(spec)));
-    ASSERT_EQ(a.response.status, b.response.status) << "request " << i;
-    ASSERT_EQ(a.latencyMs, b.latencyMs) << "request " << i;
-    ASSERT_EQ(a.response.body, b.response.body) << "request " << i;
-  }
-  // Probability zero clears the plan entirely.
-  legacy.network.setFailureProbability(0.0);
-  EXPECT_EQ(legacy.network.faultPlan(), nullptr);
 }
 
 // --- traffic counters --------------------------------------------------------

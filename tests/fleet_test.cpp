@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "net/network.h"
 #include "serve/verdict_service.h"
 #include "server/generator.h"
+#include "store/store.h"
 #include "test_support.h"
 #include "util/clock.h"
 
@@ -97,6 +99,57 @@ TEST(FleetReportTest, ConfigFingerprintBytesArePinned) {
   config.picker.forcum.attribution = core::AttributionMode::Provenance;
   EXPECT_EQ(fleet::TrainingFleet(network, config).configFingerprint(),
             "v1:2007:12:0:1:0:0:k0:attr1");
+}
+
+// A shard sealed under one stable-view threshold must not be replayed as
+// the result of another: the rerun recovers nothing and matches a fresh
+// run, while a rerun under the sealing threshold recovers every host.
+TEST(FleetReportTest, ShardsSealedUnderAnotherThresholdRerun) {
+  const auto roster = server::measurementRoster(8, 7);
+  store::StoreConfig storeConfig;
+  storeConfig.directory = ::testing::TempDir() + "fleet_threshold_shards";
+  std::filesystem::remove_all(storeConfig.directory);
+  const auto runAt = [&](int threshold, store::StateStore* store) {
+    util::SimClock serverClock;
+    net::Network network(7);
+    server::registerRoster(network, serverClock, roster);
+    fleet::FleetConfig config;
+    config.seed = 7;
+    config.picker.forcum.stableViewThreshold = threshold;
+    config.stateStore = store;
+    return fleet::TrainingFleet(network, config).run(roster);
+  };
+  const auto recoveredHosts = [](const fleet::FleetReport& report) {
+    int recovered = 0;
+    for (const auto& host : report.hosts) recovered += host.recovered;
+    return recovered;
+  };
+
+  const std::string freshAt3 = runAt(3, nullptr).serializeState();
+  const std::string freshAt10 = runAt(10, nullptr).serializeState();
+  ASSERT_NE(freshAt3, freshAt10);
+  {
+    store::StateStore store(storeConfig);
+    EXPECT_EQ(recoveredHosts(runAt(10, &store)), 0);
+  }
+  {
+    store::StateStore store(storeConfig);
+    const fleet::FleetReport rerun = runAt(3, &store);
+    EXPECT_EQ(recoveredHosts(rerun), 0);
+    EXPECT_EQ(rerun.serializeState(), freshAt3);
+  }
+  {
+    // The rerun at 3 resealed every shard; seal them at 10 again.
+    store::StateStore store(storeConfig);
+    runAt(10, &store);
+  }
+  {
+    store::StateStore store(storeConfig);
+    const fleet::FleetReport rerun = runAt(10, &store);
+    EXPECT_EQ(recoveredHosts(rerun), 8);
+    EXPECT_EQ(rerun.serializeState(), freshAt10);
+  }
+  std::filesystem::remove_all(storeConfig.directory);
 }
 
 // The fleet and the verdict service run one session (core::Session): every

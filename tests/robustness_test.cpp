@@ -23,7 +23,7 @@ using testsupport::SimWorld;
 TEST(FailureInjection, InjectsConfiguredFraction) {
   SimWorld world;
   const auto spec = world.addGenericSite("flaky.example");
-  // The plan-text form of what setFailureProbability(0.3) compiles to.
+  // The plan-text form of what FaultPlan::uniformFailure(0.3) builds.
   const auto plan = faults::FaultPlan::parse("rule action=server-error p=0.3");
   ASSERT_TRUE(plan.has_value());
   world.network.setFaultPlan(
@@ -43,8 +43,7 @@ TEST(FailureInjection, InjectsConfiguredFraction) {
 TEST(FailureInjection, BrowserSurvives503Container) {
   SimWorld world;
   const auto spec = world.addGenericSite("flaky.example");
-  // Deliberately the legacy knob: doubles as sugar-compatibility coverage.
-  world.network.setFailureProbability(1.0);
+  world.network.setFaultPlan(faults::FaultPlan::uniformFailure(1.0));
   const browser::PageView view = world.browser.visit(world.urlFor(spec));
   EXPECT_EQ(view.status, 503);
   ASSERT_NE(view.snapshot, nullptr);  // error page still parsed + flattened
@@ -61,7 +60,7 @@ TEST(FailureInjection, TrainingConvergesDespiteFlakiness) {
   spec.preferenceIntensity = 2;
   spec.containerTrackers = 1;
   world.addSite(spec);
-  world.network.setFailureProbability(0.10);
+  world.network.setFaultPlan(faults::FaultPlan::uniformFailure(0.10));
   // PerCookie mode so the tracker/preference distinction is judgeable
   // (the default AllPersistent mode co-marks co-sent cookies by design).
   core::CookiePickerConfig config;

@@ -398,29 +398,45 @@ TEST(ServeE2E, HostsShardAcrossOriginThreads) {
     specs.push_back(
         cookieSpec(label, "m" + std::to_string(i) + ".serve.example"));
   }
-  serve::OriginTierConfig tierConfig;
-  tierConfig.threads = 3;
-  serve::AsyncClientConfig clientConfig;
-  clientConfig.maxConnectionsPerHost = 1;  // keep per-host arrival order
-  clientConfig.maxPipelineDepth = 4;       // equal to batch order
-  SimRig sim(specs);
-  SocketRig rig(specs, tierConfig, clientConfig);
-  EXPECT_EQ(rig.tier->threads(), 3);
+  // Clean, then with a server-error plan: the tier's one plan slot must
+  // reach the hosts on every shard.
+  faults::FaultRule serverError;
+  serverError.action = faults::Action::ServerError;
+  for (const auto& plan : {std::shared_ptr<const faults::FaultPlan>(),
+                           onePlan(serverError)}) {
+    SCOPED_TRACE(plan ? "server-error plan" : "no plan");
+    serve::OriginTierConfig tierConfig;
+    tierConfig.threads = 3;
+    tierConfig.faultPlan = plan;
+    serve::AsyncClientConfig clientConfig;
+    clientConfig.maxConnectionsPerHost = 1;  // keep per-host arrival order
+    clientConfig.maxPipelineDepth = 4;       // equal to batch order
+    SimRig sim(specs);
+    sim.network.setFaultPlan(plan);
+    SocketRig rig(specs, tierConfig, clientConfig);
+    EXPECT_EQ(rig.tier->threads(), 3);
 
-  std::vector<net::HttpRequest> batch;
-  for (int round = 0; round < 3; ++round) {
-    for (const auto& spec : specs) {
-      batch.push_back(makeRequest(spec.domain, "/page0"));
+    std::vector<net::HttpRequest> batch;
+    for (int round = 0; round < 3; ++round) {
+      for (const auto& spec : specs) {
+        batch.push_back(makeRequest(spec.domain, "/page0"));
+      }
     }
-  }
-  const std::vector<net::Exchange> socketed =
-      rig.transport->dispatchBatch(batch);
-  ASSERT_EQ(socketed.size(), batch.size());
-  // Per-host request order is deterministic even with the batch fanned out
-  // across shards: each host still sees its own requests in batch order.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    expectSameContent(sim.network.dispatch(batch[i]), socketed[i],
-                      "shard batch #" + std::to_string(i));
+    const std::vector<net::Exchange> socketed =
+        rig.transport->dispatchBatch(batch);
+    ASSERT_EQ(socketed.size(), batch.size());
+    // Per-host request order is deterministic even with the batch fanned
+    // out across shards: each host still sees its own requests in batch
+    // order.
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const net::Exchange simmed = sim.network.dispatch(batch[i]);
+      expectSameContent(simmed, socketed[i],
+                        "shard batch #" + std::to_string(i));
+      if (plan != nullptr) {
+        EXPECT_EQ(socketed[i].response.body,
+                  "<html><body><h1>503 Service Unavailable</h1></body></html>");
+      }
+    }
   }
 }
 

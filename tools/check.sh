@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
 # Tier-1 verification under sanitizers.
 #
-# Builds and runs the full ctest suite five times: plain, under
+# Builds and runs the full ctest suite four times: plain, under
 # ThreadSanitizer (-DCOOKIEPICKER_SANITIZE=thread — the concurrency suite's
 # contract), the TSan tree again with the flight recorder's process-global
 # metrics registry enabled (COOKIEPICKER_OBS=1, so every obs::count / span
 # in every test records concurrently into one shared registry), under
-# AddressSanitizer+UBSan (-DCOOKIEPICKER_SANITIZE=address), a Debug
-# build of the fast-path differential suite (the bit-identical checks must
-# hold without optimizer-dependent FP behaviour), and the chaos soaks: the
-# ChaosSoak fleet test re-run in the TSan and ASan trees with
-# COOKIEPICKER_CHAOS=1, which scales it up to 64 hosts / 8 workers under
-# an aggressive mixed fault plan. Each configuration gets its own build
-# tree so caches never mix (thread-metrics and the chaos soaks reuse the
-# sanitizer trees — same binaries, different environment). The crash-soak
+# AddressSanitizer+UBSan (-DCOOKIEPICKER_SANITIZE=address); then twelve
+# targeted configurations: a Debug build of the fast-path differential
+# suite (the bit-identical checks must hold without optimizer-dependent FP
+# behaviour), and the chaos soaks: the ChaosSoak fleet test re-run in the
+# TSan and ASan trees with COOKIEPICKER_CHAOS=1, which scales it up to 64
+# hosts / 8 workers under an aggressive mixed fault plan. Each
+# configuration gets its own build tree so caches never mix (thread-metrics
+# and the chaos soaks reuse the sanitizer trees — same binaries, different
+# environment). The crash-soak
 # config re-runs the CrashRecovery property suite in the ASan tree with
 # COOKIEPICKER_CHAOS=1, which scales the crash-point fuzzing from 24 to 200
 # seeded kill/recover cycles. The fuzz-soak configs re-run the streaming
@@ -42,7 +43,7 @@
 # fleet threads, ASan the framing parser over corrupted and truncated
 # payloads.
 #
-#   tools/check.sh                 # all fourteen configurations
+#   tools/check.sh                 # all sixteen configurations
 #   tools/check.sh thread          # just the TSan pass
 #   tools/check.sh thread-metrics  # TSan with the global recorder enabled
 #   tools/check.sh address         # just the ASan/UBSan pass
