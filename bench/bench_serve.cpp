@@ -33,6 +33,7 @@
 #include "serve/origin_tier.h"
 #include "server/generator.h"
 #include "util/clock.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -203,7 +204,8 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, std::shared_ptr<net::HttpHandler>>>
       minimal;
   for (int i = 0; i < kHosts; ++i) {
-    const std::string host = "b" + std::to_string(i) + ".bench.example";
+    std::string host;
+    util::appendParts(host, {"b", std::to_string(i), ".bench.example"});
     minimal.emplace_back(host, std::make_shared<MinimalOrigin>(host));
   }
   const TierRun tierRun = runTier(minimal, kTierRequests);
@@ -212,9 +214,12 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, std::shared_ptr<net::HttpHandler>>>
       generated;
   for (int i = 0; i < kHosts; ++i) {
-    const auto spec = server::makeGenericSpec(
-        "bench" + std::to_string(i),
-        "g" + std::to_string(i) + ".bench.example", 42 + i);
+    const std::string index = std::to_string(i);
+    std::string label;
+    std::string domain;
+    util::appendParts(label, {"bench", index});
+    util::appendParts(domain, {"g", index, ".bench.example"});
+    const auto spec = server::makeGenericSpec(label, domain, 42 + i);
     generated.emplace_back(spec.domain, server::buildSite(spec, siteClock));
   }
   const TierRun generatorRun = runTier(generated, kGeneratorRequests);

@@ -214,7 +214,7 @@ Browser::HiddenFetchPlan Browser::planHiddenFetch(
 
   // Resolve the tested group to names: jar records matching this URL for
   // which the exclusion predicate holds.
-  std::set<std::string> strippedNames;
+  std::set<std::string, std::less<>> strippedNames;
   if (excludePersistent) {
     for (const cookies::CookieRecord* record :
          jar_.cookiesFor(view.url, clock_.nowMs())) {
@@ -225,13 +225,12 @@ Browser::HiddenFetchPlan Browser::planHiddenFetch(
     }
   }
 
-  std::vector<std::pair<std::string, std::string>> kept;
-  for (auto& pair :
-       net::parseCookieHeader(view.containerRequest.cookieHeader())) {
-    if (!strippedNames.contains(pair.first)) {
-      kept.push_back(std::move(pair));
-    }
-  }
+  // Views into the saved request, which outlives them.
+  std::vector<net::CookiePair> kept =
+      net::parseCookieHeader(view.containerRequest.cookieHeader());
+  std::erase_if(kept, [&](const net::CookiePair& pair) {
+    return strippedNames.contains(pair.first);
+  });
   const std::string cookieHeader = net::formatCookieHeader(kept);
   if (cookieHeader.empty()) {
     plan.request.headers.remove("Cookie");

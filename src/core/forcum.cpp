@@ -530,7 +530,7 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
   // saved container request header is authoritative — cookies set by this
   // very response exist in the jar but were not part of the page the user
   // is looking at, so they cannot be tested on this view.
-  std::set<std::string> sentNames;
+  std::set<std::string_view> sentNames;
   for (const auto& [name, value] :
        net::parseCookieHeader(view.containerRequest.cookieHeader())) {
     sentNames.insert(name);

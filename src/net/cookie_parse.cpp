@@ -12,7 +12,6 @@
 namespace cookiepicker::net {
 
 using util::equalsIgnoreCase;
-using util::split;
 using util::toLowerAscii;
 using util::trim;
 
@@ -175,26 +174,39 @@ std::optional<SetCookie> parseSetCookie(std::string_view header) {
   return cookie;
 }
 
-std::vector<std::pair<std::string, std::string>> parseCookieHeader(
-    std::string_view header) {
-  std::vector<std::pair<std::string, std::string>> cookies;
-  for (const std::string& part : split(header, ';')) {
-    const std::string_view pair = trim(part);
+std::vector<CookiePair> parseCookieHeader(std::string_view header) {
+  std::vector<CookiePair> cookies;
+  if (header.empty()) return cookies;
+  // One allocation: a header holds at most one pair per ';'-separated part.
+  cookies.reserve(
+      static_cast<std::size_t>(std::count(header.begin(), header.end(), ';')) +
+      1);
+  std::size_t start = 0;
+  while (start <= header.size()) {
+    const std::size_t end = std::min(header.find(';', start), header.size());
+    const std::string_view pair = trim(header.substr(start, end - start));
+    start = end + 1;
     if (pair.empty()) continue;
     const std::size_t equals = pair.find('=');
     if (equals == std::string_view::npos || equals == 0) continue;
-    cookies.emplace_back(std::string(trim(pair.substr(0, equals))),
-                         std::string(trim(pair.substr(equals + 1))));
+    cookies.emplace_back(trim(pair.substr(0, equals)),
+                         trim(pair.substr(equals + 1)));
   }
   return cookies;
 }
 
-std::string formatCookieHeader(
-    const std::vector<std::pair<std::string, std::string>>& cookies) {
+std::string formatCookieHeader(const std::vector<CookiePair>& cookies) {
+  std::size_t size = 0;
+  for (const auto& [name, value] : cookies) {
+    size += name.size() + value.size() + 3;
+  }
   std::string header;
+  header.reserve(size);
   for (const auto& [name, value] : cookies) {
     if (!header.empty()) header += "; ";
-    header += name + "=" + value;
+    header += name;
+    header += '=';
+    header += value;
   }
   return header;
 }

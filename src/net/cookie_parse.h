@@ -31,13 +31,16 @@ struct SetCookie {
 // name=value pair at all (empty or attribute-only headers).
 std::optional<SetCookie> parseSetCookie(std::string_view header);
 
-// Parses a Cookie request header ("a=1; b=2") into name/value pairs.
-std::vector<std::pair<std::string, std::string>> parseCookieHeader(
-    std::string_view header);
+// One name=value pair of a Cookie request header.
+using CookiePair = std::pair<std::string_view, std::string_view>;
+
+// Parses a Cookie request header ("a=1; b=2") into name/value pairs, in
+// header order, as views into `header`: valid only while it lives. A name
+// may repeat.
+std::vector<CookiePair> parseCookieHeader(std::string_view header);
 
 // Formats name/value pairs into a Cookie header.
-std::string formatCookieHeader(
-    const std::vector<std::pair<std::string, std::string>>& cookies);
+std::string formatCookieHeader(const std::vector<CookiePair>& cookies);
 
 // Parses the RFC 1123 / RFC 850 / asctime date formats used by Expires
 // ("Sun, 06 Nov 1994 08:49:37 GMT"). Returns seconds since the Unix epoch,

@@ -20,10 +20,16 @@ void HeaderMap::remove(std::string_view name) {
 }
 
 std::optional<std::string> HeaderMap::get(std::string_view name) const {
+  const std::string* value = find(name);
+  if (value == nullptr) return std::nullopt;
+  return *value;
+}
+
+const std::string* HeaderMap::find(std::string_view name) const {
   for (const Entry& entry : entries_) {
-    if (util::equalsIgnoreCase(entry.name, name)) return entry.value;
+    if (util::equalsIgnoreCase(entry.name, name)) return &entry.value;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 std::vector<std::string> HeaderMap::getAll(std::string_view name) const {
@@ -36,8 +42,10 @@ std::vector<std::string> HeaderMap::getAll(std::string_view name) const {
   return values;
 }
 
-bool HeaderMap::has(std::string_view name) const {
-  return get(name).has_value();
+const std::string& HttpRequest::cookieHeader() const {
+  static const std::string kAbsent;
+  const std::string* value = headers.find("Cookie");
+  return value == nullptr ? kAbsent : *value;
 }
 
 HttpResponse HttpResponse::ok(std::string body, std::string contentType) {

@@ -28,8 +28,10 @@ class HeaderMap {
 
   // First value for `name`, if any.
   std::optional<std::string> get(std::string_view name) const;
+  // The same value in place, or null: valid until the map changes.
+  const std::string* find(std::string_view name) const;
   std::vector<std::string> getAll(std::string_view name) const;
-  bool has(std::string_view name) const;
+  bool has(std::string_view name) const { return find(name) != nullptr; }
 
   const std::vector<Entry>& entries() const { return entries_; }
   std::size_t size() const { return entries_.size(); }
@@ -58,11 +60,9 @@ struct HttpRequest {
   // fault-schedule index (see faults::HostFaultState).
   int attempt = 0;
 
-  // The Cookie request header, or empty if absent. Convenience used
-  // throughout the server code.
-  std::string cookieHeader() const {
-    return headers.get("Cookie").value_or("");
-  }
+  // The Cookie request header, or empty if absent, read in place (valid
+  // until the headers change). Convenience used throughout the server code.
+  const std::string& cookieHeader() const;
 };
 
 struct HttpResponse {

@@ -102,9 +102,10 @@ Url Url::resolve(std::string_view reference) const {
 }
 
 std::string Url::origin() const {
-  std::string result = scheme_ + "://" + host_;
+  std::string result;
+  util::appendParts(result, {scheme_, "://", host_});
   if (!hasDefaultPort()) {
-    result += ":" + std::to_string(port_);
+    util::appendParts(result, {":", std::to_string(port_)});
   }
   return result;
 }

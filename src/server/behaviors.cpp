@@ -6,25 +6,60 @@
 #include "net/cookie_parse.h"
 #include "server/fragments.h"
 #include "server/words.h"
+#include "util/strings.h"
 
 namespace cookiepicker::server {
 
 namespace {
 
-std::string randomHexId(util::Pcg32& rng) {
-  char buffer[20];
-  std::snprintf(buffer, sizeof(buffer), "%08x%08x", rng.next(), rng.next());
-  return buffer;
+// Bytes of a 16-hex-digit id, at most what appendLifetime appends besides
+// the path, and at most what a filled ad slot holds (the wrapped shape).
+constexpr std::size_t kIdBytes = 16;
+constexpr std::size_t kLifetimeBytes = 40;
+constexpr std::size_t kAdSlotBytes = 128;
+
+// Appends a random 16-hex-digit id drawn from `rng`.
+void appendHexId(std::string& out, util::Pcg32& rng) {
+  // The low half is drawn first, the order in which GCC evaluated the two
+  // draws of the single snprintf call that generated the committed ids.
+  const std::uint32_t low = rng.next();
+  const std::uint32_t high = rng.next();
+  static constexpr char kDigits[] = "0123456789abcdef";
+  char digits[kIdBytes];
+  for (int i = 7; i >= 0; --i) {
+    digits[i] = kDigits[(high >> (4 * (7 - i))) & 0xfU];
+    digits[i + 8] = kDigits[(low >> (4 * (7 - i))) & 0xfU];
+  }
+  out.append(digits, kIdBytes);
 }
 
-std::string setCookieValue(const std::string& name, const std::string& value,
-                           std::int64_t maxAgeSeconds,
-                           const std::string& path) {
-  std::string header = name + "=" + value;
+// "<name>=" in a string with room for `rest` more bytes.
+std::string beginSetCookie(std::string_view name, std::size_t rest) {
+  std::string header;
+  header.reserve(name.size() + 1 + rest);
+  header += name;
+  header += '=';
+  return header;
+}
+
+// Appends "; Max-Age=<seconds>; Path=<path>"; with no positive lifetime it
+// is a session cookie and gets no Max-Age.
+void appendLifetime(std::string& out, std::int64_t maxAgeSeconds,
+                    std::string_view path) {
   if (maxAgeSeconds > 0) {
-    header += "; Max-Age=" + std::to_string(maxAgeSeconds);
+    out += "; Max-Age=";
+    out += std::to_string(maxAgeSeconds);
   }
-  header += "; Path=" + path;
+  out += "; Path=";
+  out += path;
+}
+
+// "<name>=<16 hex digits>; Max-Age=<seconds>; Path=/" in one allocation.
+std::string setCookieWithId(std::string_view name, util::Pcg32& rng,
+                            std::int64_t maxAgeSeconds) {
+  std::string header = beginSetCookie(name, kIdBytes + kLifetimeBytes + 1);
+  appendHexId(header, rng);
+  appendLifetime(header, maxAgeSeconds, "/");
   return header;
 }
 
@@ -43,30 +78,32 @@ TrackingCookieBehavior::TrackingCookieBehavior(std::string cookieName,
 
 void TrackingCookieBehavior::onRequest(const RenderContext& context,
                                        net::HttpResponse& response) {
-  if (!setOnPathPrefix_.empty() &&
-      context.path.compare(0, setOnPathPrefix_.size(), setOnPathPrefix_) !=
-          0) {
-    return;
-  }
+  if (!context.path.starts_with(setOnPathPrefix_)) return;
   if (context.hasCookie(cookieName_)) return;
-  // Half the trackers (stable per name) use the older Expires=<RFC 1123>
-  // attribute instead of Max-Age, as real 2007 servers did — both formats
-  // flow through the full parsing pipeline.
-  if (util::fnv1a64(cookieName_) % 2 == 0) {
+  if (tail_.empty()) {
+    // Half the trackers (stable per name) use the older Expires=<RFC 1123>
+    // attribute instead of Max-Age, as real 2007 servers did — both formats
+    // flow through the full parsing pipeline.
+    usesExpires_ = util::fnv1a64(cookieName_) % 2 == 0;
+    if (!usesExpires_) appendLifetime(tail_, maxAgeSeconds_, cookiePath_);
+  }
+  if (usesExpires_) {
     // Round the current time up to whole seconds so the declared lifetime
     // is never a fraction short of the intended Max-Age equivalent.
     const std::int64_t expiresEpochSeconds =
         (context.clock->nowMs() + 999) / 1000 + maxAgeSeconds_;
-    response.headers.add(
-        "Set-Cookie",
-        cookieName_ + "=" + randomHexId(*context.fetchRng) +
-            "; Expires=" + net::formatHttpDate(expiresEpochSeconds) +
-            "; Path=" + cookiePath_);
-    return;
+    if (tail_.empty() || expiresEpochSeconds != tailEpochSeconds_) {
+      tail_ = "; Expires=";
+      tail_ += net::formatHttpDate(expiresEpochSeconds);
+      tail_ += "; Path=";
+      tail_ += cookiePath_;
+      tailEpochSeconds_ = expiresEpochSeconds;
+    }
   }
-  response.headers.add(
-      "Set-Cookie", setCookieValue(cookieName_, randomHexId(*context.fetchRng),
-                                   maxAgeSeconds_, cookiePath_));
+  std::string header = beginSetCookie(cookieName_, kIdBytes + tail_.size());
+  appendHexId(header, *context.fetchRng);
+  header += tail_;
+  response.headers.add("Set-Cookie", std::move(header));
 }
 
 // --- SessionCartBehavior ----------------------------------------------------
@@ -78,15 +115,23 @@ void SessionCartBehavior::onRequest(const RenderContext& context,
                                     net::HttpResponse& response) {
   if (context.hasCookie(cookieName_)) return;
   // Session cookie: no Max-Age / Expires.
-  response.headers.add("Set-Cookie", cookieName_ + "=0; Path=/");
+  std::string header = beginSetCookie(cookieName_, 9);
+  header += "0; Path=/";
+  response.headers.add("Set-Cookie", std::move(header));
 }
 
 void SessionCartBehavior::render(const RenderContext& context, Page& page) {
-  std::string html = "<span class=\"cart-status\">Cart items: ";
-  appendEscapedText(html, context.hasCookie(cookieName_)
-                              ? context.cookieValue(cookieName_)
-                              : "0");
-  html += "</span>";
+  const std::string_view count = context.hasCookie(cookieName_)
+                                     ? context.cookieValue(cookieName_)
+                                     : "0";
+  static constexpr std::string_view kOpen =
+      "<span class=\"cart-status\">Cart items: ";
+  static constexpr std::string_view kClose = "</span>";
+  std::string html;
+  html.reserve(kOpen.size() + count.size() + kClose.size());
+  html += kOpen;
+  appendEscapedText(html, count);
+  html += kClose;
   // The cart widget renders either way, but its content is a function of the
   // cookie read — taint it in both branches.
   page.header.push_back({context.taintFor(cookieName_), std::move(html)});
@@ -102,18 +147,17 @@ PreferenceCookieBehavior::PreferenceCookieBehavior(
       maxAgeSeconds_(maxAgeSeconds),
       affectedPathPrefix_(std::move(affectedPathPrefix)) {}
 
-bool PreferenceCookieBehavior::affectsPath(const std::string& path) const {
-  return affectedPathPrefix_.empty() ||
-         path.compare(0, affectedPathPrefix_.size(), affectedPathPrefix_) ==
-             0;
+bool PreferenceCookieBehavior::affectsPath(std::string_view path) const {
+  return path.starts_with(affectedPathPrefix_);
 }
 
 void PreferenceCookieBehavior::onRequest(const RenderContext& context,
                                          net::HttpResponse& response) {
   if (context.hasCookie(cookieName_)) return;
-  response.headers.add(
-      "Set-Cookie",
-      setCookieValue(cookieName_, "default", maxAgeSeconds_, "/"));
+  std::string header = beginSetCookie(cookieName_, 7 + kLifetimeBytes + 1);
+  header += "default";
+  appendLifetime(header, maxAgeSeconds_, "/");
+  response.headers.add("Set-Cookie", std::move(header));
 }
 
 void PreferenceCookieBehavior::render(const RenderContext& context,
@@ -194,8 +238,8 @@ void SignUpWallBehavior::onRequest(const RenderContext& context,
                                    net::HttpResponse& response) {
   if (context.hasCookie(cookieName_)) return;
   response.headers.add(
-      "Set-Cookie", setCookieValue(cookieName_, randomHexId(*context.fetchRng),
-                                   maxAgeSeconds_, "/"));
+      "Set-Cookie",
+      setCookieWithId(cookieName_, *context.fetchRng, maxAgeSeconds_));
 }
 
 void SignUpWallBehavior::render(const RenderContext& context, Page& page) {
@@ -233,8 +277,8 @@ void QueryCacheBehavior::onRequest(const RenderContext& context,
   }
   response.serverProcessingMs += 1200.0 + 600.0 * context.fetchRng->uniform01();
   response.headers.add(
-      "Set-Cookie", setCookieValue(cookieName_, randomHexId(*context.fetchRng),
-                                   maxAgeSeconds_, "/"));
+      "Set-Cookie",
+      setCookieWithId(cookieName_, *context.fetchRng, maxAgeSeconds_));
 }
 
 void QueryCacheBehavior::render(const RenderContext& context, Page& page) {
@@ -266,16 +310,23 @@ void AdRotationNoise::render(const RenderContext& context, Page& page) {
   page.forEachHole(HoleKind::AdSlot, [&](std::string& slot) {
     const int shape =
         structuralVariation_ ? static_cast<int>(rng.uniform(0, 2)) : 0;
-    slot = "<a href=\"/ad/redirect" + std::to_string(rng.uniform(1, 999)) +
-           "\">";
+    // The largest shape: wrapper, image, anchor and about 50 bytes of copy.
+    slot.reserve(kAdSlotBytes);
+    util::appendParts(slot, {"<a href=\"/ad/redirect",
+                             std::to_string(rng.uniform(1, 999)), "\">"});
     appendAdCopy(slot, rng);
     slot += "</a>";
     if (shape == 1) {
       slot += "<span class=\"sponsor-tag\">Sponsored</span>";
     } else if (shape == 2) {
       // The image is drawn after the anchor it precedes.
-      slot = "<div class=\"ad-wrap\"><img src=\"/assets/ad" +
-             std::to_string(rng.uniform(1, 9)) + ".png\">" + slot + "</div>";
+      std::string wrapped;
+      wrapped.reserve(kAdSlotBytes);
+      util::appendParts(wrapped,
+                        {"<div class=\"ad-wrap\"><img src=\"/assets/ad",
+                         std::to_string(rng.uniform(1, 9)), ".png\">", slot,
+                         "</div>"});
+      slot = std::move(wrapped);
     }
   });
 }

@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "net/http.h"
 #include "server/page.h"
@@ -54,6 +55,13 @@ class TrackingCookieBehavior : public SiteBehavior {
   std::int64_t maxAgeSeconds_;
   std::string cookiePath_;
   std::string setOnPathPrefix_;
+  // The attributes after the value, built on first use: "; Max-Age=N;
+  // Path=P", or "; Expires=<date>; Path=P" for the expiry second
+  // tailEpochSeconds_, rebuilt when a request's expiry second differs. A
+  // site handles one request at a time, so no lock guards them.
+  std::string tail_;
+  std::int64_t tailEpochSeconds_ = 0;
+  bool usesExpires_ = false;
 };
 
 // A session cookie maintaining a shopping-cart-style counter; exercises the
@@ -83,7 +91,7 @@ class PreferenceCookieBehavior : public SiteBehavior {
   void render(const RenderContext& context, Page& page) override;
 
  private:
-  bool affectsPath(const std::string& path) const;
+  bool affectsPath(std::string_view path) const;
   std::string cookieName_;
   int intensity_;
   std::int64_t maxAgeSeconds_;

@@ -5,10 +5,12 @@
 
 namespace cookiepicker::server {
 
-bool HiddenRequestDetector::looksLikeProbe(const std::string& path,
+bool HiddenRequestDetector::looksLikeProbe(std::string_view path,
                                            std::size_t cookieCount,
                                            util::SimTimeMs nowMs) {
-  Observation& observation = history_[path];
+  auto it = history_.find(path);
+  if (it == history_.end()) it = history_.emplace(path, Observation{}).first;
+  Observation& observation = it->second;
   const bool probe = observation.lastSeenMs >= 0 &&
                      nowMs - observation.lastSeenMs <= windowMs_ &&
                      cookieCount < observation.lastCookieCount;
@@ -25,7 +27,7 @@ void EvasionBehavior::onRequest(const RenderContext& context,
                                 net::HttpResponse& response) {
   (void)response;
   defaceCurrentRequest_ = detector_.looksLikeProbe(
-      context.path, context.cookies.size(), context.clock->nowMs());
+      context.path, context.distinctCookieCount(), context.clock->nowMs());
   if (defaceCurrentRequest_) ++probesDetected_;
 }
 

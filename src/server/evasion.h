@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "server/behaviors.h"
 #include "util/clock.h"
@@ -41,13 +42,13 @@ class HiddenRequestDetector {
 
   // Returns true if this request looks like a checker probe: same path
   // re-requested within `windowMs` with fewer cookies than before.
-  bool looksLikeProbe(const std::string& path, std::size_t cookieCount,
+  bool looksLikeProbe(std::string_view path, std::size_t cookieCount,
                       util::SimTimeMs nowMs);
 
   void setWindowMs(util::SimTimeMs windowMs) { windowMs_ = windowMs; }
 
  private:
-  std::map<std::string, Observation> history_;
+  std::map<std::string, Observation, std::less<>> history_;
   util::SimTimeMs windowMs_ = 30'000;  // probes arrive during think time
 };
 

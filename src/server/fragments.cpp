@@ -1,18 +1,41 @@
 #include "server/fragments.h"
 
+#include <algorithm>
+
 #include "server/words.h"
 
 namespace cookiepicker::server {
 
+namespace {
+
+// Upper bounds, from the vocabulary's longest word (8 letters): a content
+// section without its paragraphs and ad slots (title, headline tags, a
+// widget of up to 6 links), a <p> of up to 3 sentences of up to 14 words,
+// an ad slot's markup, and a five-word headline.
+constexpr std::size_t kSectionBytes = 512;
+constexpr std::size_t kParagraphBytes = 400;
+constexpr std::size_t kAdSlotBytes = 32;
+constexpr std::size_t kHeadlineBytes = 48;
+
+}  // namespace
+
 void appendContentSection(Block& block, util::Pcg32& rng, int paragraphs,
                           int adSlots, bool rotatingHeadline) {
   std::string& out = block.html;
+  const auto count = [](int n) {
+    return static_cast<std::size_t>(std::max(0, n));
+  };
+  out.reserve(out.size() + kSectionBytes + kParagraphBytes * count(paragraphs) +
+              kAdSlotBytes * count(adSlots));
+  block.holes.reserve(block.holes.size() + (rotatingHeadline ? 1 : 0) +
+                      count(adSlots));
   out += "<section class=\"content\"><h2>";
   appendTitle(out, rng);
   out += "</h2>";
   if (rotatingHeadline) {
     out += "<h3 class=\"rotating-headline\">";
     std::string headline;
+    headline.reserve(kHeadlineBytes);
     appendPhrase(headline, rng, 5);
     block.addHole(HoleKind::Headline, std::move(headline));
     out += "</h3>";

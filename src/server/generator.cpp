@@ -224,9 +224,12 @@ std::vector<SiteSpec> table2Roster() {
   std::vector<SiteSpec> roster;
   for (int i = 0; i < 6; ++i) {
     SiteSpec spec = baseSpec(i + 40, "X");  // unique domains
-    spec.label = "P" + std::to_string(i + 1);
-    spec.domain = "p" + std::to_string(i + 1) + "." + spec.category +
-                  ".example";
+    const std::string index = std::to_string(i + 1);
+    spec.label.clear();
+    spec.domain.clear();
+    util::appendParts(spec.label, {"P", index});
+    util::appendParts(spec.domain,
+                      {"p", index, ".", spec.category, ".example"});
     switch (i + 1) {
       case 1:  // Preference, modest personalization.
         spec.preferenceCookies = 1;
@@ -266,11 +269,12 @@ std::vector<SiteSpec> measurementRoster(int siteCount, std::uint64_t seed) {
   const auto& categories = directoryCategories();
   for (int i = 0; i < siteCount; ++i) {
     SiteSpec spec;
-    spec.label = "M" + std::to_string(i + 1);
+    const std::string index = std::to_string(i + 1);
+    util::appendParts(spec.label, {"M", index});
     spec.category = categories[rng.uniform(
         0, static_cast<std::uint32_t>(categories.size() - 1))];
-    spec.domain = "m" + std::to_string(i + 1) + "." + spec.category +
-                  ".example";
+    util::appendParts(spec.domain,
+                      {"m", index, ".", spec.category, ".example"});
     spec.seed = seed * 131 + static_cast<std::uint64_t>(i);
     spec.pageCount = 8;
 

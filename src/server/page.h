@@ -49,6 +49,13 @@ struct Block {
     holes.push_back({kind, static_cast<std::uint32_t>(html.size()),
                      std::move(text)});
   }
+
+  // Bytes emitBlock appends for this block.
+  std::size_t emittedSize() const {
+    std::size_t size = html.size();
+    for (const Hole& hole : holes) size += hole.text.size();
+    return size;
+  }
 };
 
 struct Page {

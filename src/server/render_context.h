@@ -1,9 +1,10 @@
 // Per-request rendering context handed to site behaviors.
 #pragma once
 
-#include <map>
-#include <string>
+#include <string_view>
+#include <vector>
 
+#include "net/cookie_parse.h"
 #include "net/http.h"
 #include "provenance/taint.h"
 #include "util/clock.h"
@@ -13,9 +14,11 @@ namespace cookiepicker::server {
 
 struct RenderContext {
   const net::HttpRequest* request = nullptr;
-  std::string path;  // request path, e.g. "/page3"
-  // Cookies the client sent, name → value.
-  std::map<std::string, std::string> cookies;
+  // The request path, e.g. "/page3"; a view into `request`.
+  std::string_view path;
+  // Cookies the client sent, in header order: views into the request's
+  // Cookie header. A name sent twice reads as its last value.
+  std::vector<net::CookiePair> cookies;
   util::SimClock* clock = nullptr;
   // Fresh stream per fetch: noise sources draw from this, so two fetches of
   // the same page (e.g. the regular and the hidden copy) see different ads.
@@ -36,12 +39,28 @@ struct RenderContext {
     return taint == nullptr ? 0 : taint->labelFor(name);
   }
 
-  bool hasCookie(const std::string& name) const {
-    return cookies.contains(name);
+  bool hasCookie(std::string_view name) const {
+    return lastCookie(name) != nullptr;
   }
-  std::string cookieValue(const std::string& name) const {
-    const auto it = cookies.find(name);
-    return it == cookies.end() ? std::string() : it->second;
+  std::string_view cookieValue(std::string_view name) const {
+    const net::CookiePair* cookie = lastCookie(name);
+    return cookie == nullptr ? std::string_view() : cookie->second;
+  }
+  // How many different names the client sent.
+  std::size_t distinctCookieCount() const {
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < cookies.size(); ++i) {
+      if (lastCookie(cookies[i].first) == &cookies[i]) ++count;
+    }
+    return count;
+  }
+
+ private:
+  const net::CookiePair* lastCookie(std::string_view name) const {
+    for (auto it = cookies.rbegin(); it != cookies.rend(); ++it) {
+      if (it->first == name) return &*it;
+    }
+    return nullptr;
   }
 };
 

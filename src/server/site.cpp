@@ -1,15 +1,18 @@
 #include "server/site.h"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
 
 #include "net/cookie_parse.h"
 #include "server/fragments.h"
+#include "util/strings.h"
 
 namespace cookiepicker::server {
 
 namespace {
 
-bool isAssetPath(const std::string& path) {
+bool isAssetPath(std::string_view path) {
   return path.starts_with("/assets/") || path.starts_with("/metrics/") ||
          path.starts_with("/w3c/") || path.ends_with(".css") ||
          path.ends_with(".js") || path.ends_with(".gif") ||
@@ -21,6 +24,15 @@ bool isAssetPath(const std::string& path) {
 constexpr int kSectionsPerPage = 4;
 constexpr int kParagraphsPerSection = 2;
 constexpr int kPlainImages = 2;
+
+// Reservation sizes, each a little above what the markup needs: room for
+// the blocks behaviors insert into <main>, the footer without its title
+// and pixel images, one pixel image, and a page's fixed markup with a full
+// nav bar.
+constexpr std::size_t kInsertedBlocks = 4;
+constexpr std::size_t kFooterBytes = 192;
+constexpr std::size_t kPixelImageBytes = 64;
+constexpr std::size_t kSkeletonBytes = 640;
 
 }  // namespace
 
@@ -49,16 +61,19 @@ net::HttpResponse WebSite::handle(const net::HttpRequest& request) {
   context.request = &request;
   context.path = request.url.path();
   context.clock = &clock_;
-  for (const auto& [name, value] :
-       net::parseCookieHeader(request.cookieHeader())) {
-    context.cookies[name] = value;
-  }
+  context.cookies = net::parseCookieHeader(request.cookieHeader());
   // Per-fetch stream: unique per request, so noise differs between fetches.
-  util::Pcg32 fetchRng =
-      siteRng_.fork("fetch" + std::to_string(fetchCounter_));
+  // Its tag is "fetch<n>", written on the stack.
+  char tag[32] = "fetch";
+  const char* tagEnd = std::to_chars(tag + 5, std::end(tag), fetchCounter_).ptr;
+  util::Pcg32 fetchRng = siteRng_.fork(
+      std::string_view(tag, static_cast<std::size_t>(tagEnd - tag)));
   // Stable stream: a pure function of (site, path) — identical every fetch.
-  util::Pcg32 stableRng(util::fnv1a64(config_.domain + "|" + context.path),
-                        config_.seed * 2 + 1);
+  // Keyed by fnv1a64(domain + "|" + path), hashed part by part.
+  util::Pcg32 stableRng(
+      util::fnv1a64(context.path,
+                    util::fnv1a64("|", util::fnv1a64(config_.domain))),
+      config_.seed * 2 + 1);
   context.fetchRng = &fetchRng;
   context.stableRng = &stableRng;
 
@@ -71,47 +86,48 @@ net::HttpResponse WebSite::handle(const net::HttpRequest& request) {
   }
 
   if (isAssetPath(context.path)) {
-    return serveAsset(request, context);
+    return serveAsset(context);
   }
   return servePage(request, context);
 }
 
-net::HttpResponse WebSite::serveAsset(const net::HttpRequest& request,
-                                      RenderContext& context) {
-  (void)request;
+net::HttpResponse WebSite::serveAsset(RenderContext& context) {
+  const std::string_view path = context.path;
   net::HttpResponse response;
-  response.status = 200;
-  response.statusText = "OK";
-  if (context.path.ends_with(".xml")) {
+  // The Content-Type line and at most one line per behavior.
+  response.headers.reserve(behaviors_.size() + 1);
+  // Text padded to a realistic weight, in one allocation.
+  const auto fill = [&](std::string_view text, std::size_t padding, char pad) {
+    response.body.reserve(text.size() + padding);
+    response.body.append(text);
+    response.body.append(padding, pad);
+  };
+  if (path.ends_with(".xml")) {
     // Machine-readable policy documents (e.g. /w3c/p3p.xml) exist only when
     // a behavior provides one; the default is 404, which behaviors'
     // onRequest may overwrite.
     response.status = 404;
     response.statusText = "Not Found";
-    response.headers.set("Content-Type", "text/plain");
+    response.headers.add("Content-Type", "text/plain");
     response.body = "no such document";
-  } else if (context.path.ends_with(".css")) {
-    response.headers.set("Content-Type", "text/css");
-    response.body = "body{font-family:serif;margin:0}"
-                    ".sidebar{float:left;width:20%}"
-                    ".adslot{border:1px solid #ccc}";
+  } else if (path.ends_with(".css")) {
+    response.headers.add("Content-Type", "text/css");
     // Realistic stylesheet weight (a few KB).
-    response.body += std::string(3000, ' ');
-  } else if (context.path.ends_with(".js")) {
-    response.headers.set("Content-Type", "application/javascript");
-    response.body = "/* site script */ function init(){return 1;}";
-    response.body += std::string(2000, ' ');
-  } else if (context.path.ends_with("pixel.gif")) {
-    response.headers.set("Content-Type", "image/gif");
-    response.body = std::string(43, '\x01');  // 1x1 tracking pixel
+    fill("body{font-family:serif;margin:0}"
+         ".sidebar{float:left;width:20%}"
+         ".adslot{border:1px solid #ccc}",
+         3000, ' ');
+  } else if (path.ends_with(".js")) {
+    response.headers.add("Content-Type", "application/javascript");
+    fill("/* site script */ function init(){return 1;}", 2000, ' ');
+  } else if (path.ends_with("pixel.gif")) {
+    response.headers.add("Content-Type", "image/gif");
+    fill({}, 43, '\x01');  // 1x1 tracking pixel
   } else {
-    response.headers.set("Content-Type", context.path.ends_with(".gif")
-                                             ? "image/gif"
-                                             : "image/png");
+    response.headers.add("Content-Type",
+                         path.ends_with(".gif") ? "image/gif" : "image/png");
     // Image weight varies deterministically with the path (4-16 KB).
-    const std::size_t size =
-        4096 + (util::fnv1a64(context.path) % 12) * 1024;
-    response.body = std::string(size, '\x01');
+    fill({}, 4096 + (util::fnv1a64(path) % 12) * 1024, '\x01');
   }
   for (auto& behavior : behaviors_) {
     behavior->onRequest(context, response);
@@ -125,6 +141,7 @@ Page WebSite::buildPage(util::Pcg32& stableRng) const {
   const int sections =
       kSectionsPerPage +
       static_cast<int>(stableRng.uniform(0, 1));  // 4 or 5, stable per path
+  page.main.reserve(static_cast<std::size_t>(sections) + kInsertedBlocks);
   page.main.resize(static_cast<std::size_t>(sections));
   for (int s = 0; s < sections; ++s) {
     Block& section = page.main[static_cast<std::size_t>(s)];
@@ -136,13 +153,19 @@ Page WebSite::buildPage(util::Pcg32& stableRng) const {
 
   // A handful of plain images (object requests for the browser to fetch).
   std::string& footer = page.footer.html;
-  footer = "<footer>";
+  const auto pixels =
+      static_cast<std::size_t>(std::max(0, config_.pixelTrackers));
+  footer.reserve(kFooterBytes + config_.title.size() +
+                 kPixelImageBytes * pixels);
+  footer += "<footer>";
   for (int i = 0; i < kPlainImages; ++i) {
-    footer += "<img src=\"/assets/banner" + std::to_string(i) + ".png\">";
+    util::appendParts(footer, {"<img src=\"/assets/banner", std::to_string(i),
+                               ".png\">"});
   }
   for (int i = 0; i < config_.pixelTrackers; ++i) {
-    footer += "<img src=\"/metrics/" + std::to_string(i) +
-              "/pixel.gif\" width=\"1\" height=\"1\">";
+    util::appendParts(footer,
+                      {"<img src=\"/metrics/", std::to_string(i),
+                       "/pixel.gif\" width=\"1\" height=\"1\">"});
   }
   footer += "<p>(c) ";
   appendEscapedText(footer, config_.title);
@@ -152,9 +175,19 @@ Page WebSite::buildPage(util::Pcg32& stableRng) const {
   return page;
 }
 
-void WebSite::emitPage(const Page& page, const std::string& path,
+void WebSite::emitPage(const Page& page, std::string_view path,
                        provenance::ProvenanceMap* map,
                        std::string& out) const {
+  // One allocation: the fixed markup and nav, the title, path and heading
+  // as they would read unescaped, and every block.
+  std::size_t size = kSkeletonBytes + config_.title.size() + path.size() +
+                     page.heading.size() + page.footer.emittedSize();
+  for (const std::vector<Block>* blocks :
+       {&page.header, &page.beforeMain, &page.main, &page.tail}) {
+    for (const Block& block : *blocks) size += block.emittedSize();
+  }
+  out.reserve(out.size() + size);
+
   const auto emitAll = [&](const std::vector<Block>& blocks) {
     for (const Block& block : blocks) emitBlock(out, block, map);
   };
@@ -175,11 +208,11 @@ void WebSite::emitPage(const Page& page, const std::string& path,
   const std::size_t headingEnd = out.size();
   // Nav bar linking to the site's first pages.
   out += "<nav><ul>";
-  for (int i = 0; i < std::min(config_.pageCount, 6); ++i) {
+  if (config_.pageCount > 0) out += "<li><a href=\"/\">Home</a></li>";
+  for (int i = 1; i < std::min(config_.pageCount, 6); ++i) {
     const std::string index = std::to_string(i);
-    out += i == 0 ? "<li><a href=\"/\">Home</a></li>"
-                  : "<li><a href=\"/page" + index + "\">Section " + index +
-                        "</a></li>";
+    util::appendParts(out, {"<li><a href=\"/page", index, "\">Section ",
+                            index, "</a></li>"});
   }
   out += "</ul></nav>";
   emitAll(page.header);
@@ -216,9 +249,10 @@ net::HttpResponse WebSite::servePage(const net::HttpRequest& request,
   Page page = buildPage(*context.stableRng);
 
   net::HttpResponse response;
-  response.status = 200;
-  response.statusText = "OK";
-  response.headers.set("Content-Type", "text/html");
+  // The Content-Type line, at most one line per behavior and the
+  // provenance line.
+  response.headers.reserve(behaviors_.size() + 2);
+  response.headers.add("Content-Type", "text/html");
 
   for (auto& behavior : behaviors_) {
     behavior->onRequest(context, response);

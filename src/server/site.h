@@ -50,12 +50,11 @@ class WebSite : public net::HttpHandler {
  private:
   net::HttpResponse servePage(const net::HttpRequest& request,
                               RenderContext& context);
-  net::HttpResponse serveAsset(const net::HttpRequest& request,
-                               RenderContext& context);
+  net::HttpResponse serveAsset(RenderContext& context);
   // The parts of a page behaviors may edit, as the skeleton has them.
   Page buildPage(util::Pcg32& stableRng) const;
   // Appends the whole document: the fixed skeleton around `page`.
-  void emitPage(const Page& page, const std::string& path,
+  void emitPage(const Page& page, std::string_view path,
                 provenance::ProvenanceMap* map, std::string& out) const;
 
   SiteConfig config_;

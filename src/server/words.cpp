@@ -1,7 +1,6 @@
 #include "server/words.h"
 
 #include <array>
-#include <cctype>
 #include <string_view>
 
 namespace cookiepicker::server {
@@ -26,10 +25,13 @@ constexpr std::array<std::string_view, 96> kWords = {
     "eastern", "western",  "northern", "southern", "central", "coastal",
     "urban",   "rural",    "national", "regional", "public",  "private"};
 
-// Generated text is emitted into HTML unescaped.
+// Generated text is emitted into HTML unescaped, and capitalized by ASCII
+// arithmetic: every word is lower-case ASCII letters.
 static_assert([] {
   for (const std::string_view word : kWords) {
-    if (word.find_first_of("&<>\"") != std::string_view::npos) return false;
+    for (const char ch : word) {
+      if (ch < 'a' || ch > 'z') return false;
+    }
   }
   return true;
 }());
@@ -39,8 +41,7 @@ std::string_view pickWord(util::Pcg32& rng) {
 }
 
 void capitalizeAt(std::string& out, std::size_t index) {
-  out[index] =
-      static_cast<char>(std::toupper(static_cast<unsigned char>(out[index])));
+  out[index] = static_cast<char>(out[index] - 'a' + 'A');
 }
 
 }  // namespace

@@ -4,21 +4,6 @@
 
 namespace cookiepicker::util {
 
-std::uint32_t Pcg32::uniform(std::uint32_t lo, std::uint32_t hi) {
-  const std::uint64_t range = static_cast<std::uint64_t>(hi) - lo + 1;
-  // Lemire's nearly-divisionless unbiased bounded generation.
-  std::uint64_t product = static_cast<std::uint64_t>(next()) * range;
-  auto low = static_cast<std::uint32_t>(product);
-  if (low < range) {
-    const auto threshold = static_cast<std::uint32_t>(-range % range);
-    while (low < threshold) {
-      product = static_cast<std::uint64_t>(next()) * range;
-      low = static_cast<std::uint32_t>(product);
-    }
-  }
-  return lo + static_cast<std::uint32_t>(product >> 32U);
-}
-
 double Pcg32::uniform01() {
   // 32 random bits scaled into [0,1); enough resolution for simulation use.
   return next() * (1.0 / 4294967296.0);
@@ -51,8 +36,7 @@ Pcg32 Pcg32::fork(std::string_view tag) {
   return Pcg32(state_ ^ tagHash, inc_ ^ (tagHash * 0x9e3779b97f4a7c15ULL));
 }
 
-std::uint64_t fnv1a64(std::string_view text) {
-  std::uint64_t hash = 14695981039346656037ULL;
+std::uint64_t fnv1a64(std::string_view text, std::uint64_t hash) {
   for (const char ch : text) {
     hash ^= static_cast<unsigned char>(ch);
     hash *= 1099511628211ULL;

@@ -46,8 +46,22 @@ class Pcg32 {
     return (xorshifted >> rot) | (xorshifted << ((32U - rot) & 31U));
   }
 
-  // Unbiased integer in [lo, hi] (inclusive). Requires lo <= hi.
-  std::uint32_t uniform(std::uint32_t lo, std::uint32_t hi);
+  // Unbiased integer in [lo, hi] (inclusive). Requires lo <= hi. Inline:
+  // page generation draws it for every word.
+  std::uint32_t uniform(std::uint32_t lo, std::uint32_t hi) {
+    const std::uint64_t range = static_cast<std::uint64_t>(hi) - lo + 1;
+    // Lemire's nearly-divisionless unbiased bounded generation.
+    std::uint64_t product = static_cast<std::uint64_t>(next()) * range;
+    auto low = static_cast<std::uint32_t>(product);
+    if (low < range) {
+      const auto threshold = static_cast<std::uint32_t>(-range % range);
+      while (low < threshold) {
+        product = static_cast<std::uint64_t>(next()) * range;
+        low = static_cast<std::uint32_t>(product);
+      }
+    }
+    return lo + static_cast<std::uint32_t>(product >> 32U);
+  }
 
   // Uniform double in [0, 1).
   double uniform01();
@@ -79,7 +93,10 @@ class Pcg32 {
 // FNV-1a 64-bit hash; used to derive stable per-name RNG substreams, shard
 // keys and WAL checksums, and to fingerprint serialized pages in tests —
 // everything persisted, keyed or pinned. Snapshot text hashes use the
-// in-memory util::textHash64 (text_hash.h) instead.
-std::uint64_t fnv1a64(std::string_view text);
+// in-memory util::textHash64 (text_hash.h) instead. A `hash` from an
+// earlier call continues it: fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b), so a
+// key made of parts is hashed without building it.
+std::uint64_t fnv1a64(std::string_view text,
+                      std::uint64_t hash = 14695981039346656037ULL);
 
 }  // namespace cookiepicker::util

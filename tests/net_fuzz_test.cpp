@@ -109,8 +109,10 @@ TEST_P(NetFuzz, CookieHeaderParseFormatStable) {
   for (int trial = 0; trial < 200; ++trial) {
     const std::string header = randomBytes(rng, 100);
     const auto pairs = parseCookieHeader(header);
-    // Formatting what was parsed and reparsing it is lossless.
-    const auto reparsed = parseCookieHeader(formatCookieHeader(pairs));
+    // Formatting what was parsed and reparsing it is lossless. The pairs
+    // are views, so the formatted header must outlive the reparse.
+    const std::string formatted = formatCookieHeader(pairs);
+    const auto reparsed = parseCookieHeader(formatted);
     EXPECT_EQ(pairs.size(), reparsed.size()) << header;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       EXPECT_EQ(pairs[i].first, reparsed[i].first);

@@ -51,7 +51,7 @@ SimpleSelector parseSimple(std::string_view selector, std::string_view text) {
   };
 
   if (i < text.size() && text[i] == '*') {
-    simple.tag = "*";
+    simple.tag += '*';
     ++i;
   } else if (i < text.size() && isNameChar(text[i])) {
     simple.tag = util::toLowerAscii(readName());

@@ -7,6 +7,7 @@
 #include "html/parser.h"
 #include "dom/serialize.h"
 #include "net/cookie_parse.h"
+#include "server/evasion.h"
 #include "server/generator.h"
 #include "server/site.h"
 #include "test_support.h"
@@ -201,6 +202,24 @@ TEST(SessionCart, SetsSessionCookieAndShowsCount) {
   EXPECT_FALSE(parsed->expiresEpochSeconds.has_value());
   auto document = html::parseHtml(response.body);
   EXPECT_NE(document->textContent().find("Cart items"), std::string::npos);
+}
+
+// A name the client sends twice reads as its last value, and the evasion
+// detector counts names, not pairs: a repeat carrying the same two names
+// is not a probe.
+TEST(SessionCart, RepeatedCookieNameReadsAsLastValue) {
+  util::SimClock clock;
+  WebSite site(basicConfig(), clock);
+  site.addBehavior(std::make_unique<SessionCartBehavior>());
+  auto evasion = std::make_unique<EvasionBehavior>();
+  const EvasionBehavior* detector = evasion.get();
+  site.addBehavior(std::move(evasion));
+  const auto repeated =
+      site.handle(makeRequest("http://t.example/page1", "cart=1; x=2; cart=3"));
+  EXPECT_NE(repeated.body.find("Cart items: 3"), std::string::npos);
+  EXPECT_TRUE(repeated.setCookieHeaders().empty());
+  site.handle(makeRequest("http://t.example/page1", "cart=1; x=2"));
+  EXPECT_EQ(detector->probesDetected(), 0u);
 }
 
 TEST(PreferenceCookie, PersonalizesPageWhenPresent) {
