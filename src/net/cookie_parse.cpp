@@ -196,12 +196,7 @@ std::vector<CookiePair> parseCookieHeader(std::string_view header) {
 }
 
 std::string formatCookieHeader(const std::vector<CookiePair>& cookies) {
-  std::size_t size = 0;
-  for (const auto& [name, value] : cookies) {
-    size += name.size() + value.size() + 3;
-  }
   std::string header;
-  header.reserve(size);
   for (const auto& [name, value] : cookies) {
     if (!header.empty()) header += "; ";
     header += name;

@@ -9,14 +9,13 @@
 // and the verdict JSON. The goldens pin request assembly and Set-Cookie
 // ingestion byte for byte; a wire-size total would only pin lengths.
 //
-// The same binary counts operator-new calls made outside the origin: the
-// sites and the pin's own hashing run under a marker that pauses the count,
-// so what is left is the browser, the jar, the picker and the transport.
-// The budgets bound the mean per verdict, 10% above the counts measured
-// when they were set (1 449 cold, 658 warm). The origin's calls are
-// counted apart and bounded the same way (774 cold, 613 warm, against
-// 3 549 and 2 512 when a response built its headers and page from
-// temporaries): a response should cost about what its bytes cost.
+// The same binary counts operator-new calls in two tallies: the origin's
+// (the sites run under a marker), and the rest of the verdict, which is
+// the browser, the jar, the picker and the transport (the pin's own
+// hashing runs under a marker that pauses the count). The budgets bound
+// the mean per verdict, 10% above the counts measured when they were set:
+// 1 449 cold and 658 warm outside the origin, 774 and 613 in it, where a
+// response should cost about what its bytes cost.
 #include <gtest/gtest.h>
 
 #include <atomic>
