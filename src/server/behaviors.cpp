@@ -12,8 +12,8 @@ namespace cookiepicker::server {
 
 namespace {
 
-// Bytes of a 16-hex-digit id, at most what appendLifetime appends besides
-// the path, and at most what a filled ad slot holds (the wrapped shape).
+// Bytes of a 16-hex-digit id, at most what appendLifetime appends for the
+// path "/", and at most what a filled ad slot holds (the wrapped shape).
 constexpr std::size_t kIdBytes = 16;
 constexpr std::size_t kLifetimeBytes = 40;
 constexpr std::size_t kAdSlotBytes = 128;
@@ -33,12 +33,14 @@ void appendHexId(std::string& out, util::Pcg32& rng) {
   out.append(digits, kIdBytes);
 }
 
-// "<name>=" in a string with room for `rest` more bytes.
-std::string beginSetCookie(std::string_view name, std::size_t rest) {
+// "<name>=<value>" in a string with room for `rest` more bytes.
+std::string beginSetCookie(std::string_view name, std::string_view value,
+                           std::size_t rest) {
   std::string header;
-  header.reserve(name.size() + 1 + rest);
+  header.reserve(name.size() + 1 + value.size() + rest);
   header += name;
   header += '=';
+  header += value;
   return header;
 }
 
@@ -57,7 +59,7 @@ void appendLifetime(std::string& out, std::int64_t maxAgeSeconds,
 // "<name>=<16 hex digits>; Max-Age=<seconds>; Path=/" in one allocation.
 std::string setCookieWithId(std::string_view name, util::Pcg32& rng,
                             std::int64_t maxAgeSeconds) {
-  std::string header = beginSetCookie(name, kIdBytes + kLifetimeBytes + 1);
+  std::string header = beginSetCookie(name, {}, kIdBytes + kLifetimeBytes);
   appendHexId(header, rng);
   appendLifetime(header, maxAgeSeconds, "/");
   return header;
@@ -100,7 +102,8 @@ void TrackingCookieBehavior::onRequest(const RenderContext& context,
       tailEpochSeconds_ = expiresEpochSeconds;
     }
   }
-  std::string header = beginSetCookie(cookieName_, kIdBytes + tail_.size());
+  std::string header =
+      beginSetCookie(cookieName_, {}, kIdBytes + tail_.size());
   appendHexId(header, *context.fetchRng);
   header += tail_;
   response.headers.add("Set-Cookie", std::move(header));
@@ -115,9 +118,8 @@ void SessionCartBehavior::onRequest(const RenderContext& context,
                                     net::HttpResponse& response) {
   if (context.hasCookie(cookieName_)) return;
   // Session cookie: no Max-Age / Expires.
-  std::string header = beginSetCookie(cookieName_, 9);
-  header += "0; Path=/";
-  response.headers.add("Set-Cookie", std::move(header));
+  response.headers.add("Set-Cookie",
+                       beginSetCookie(cookieName_, "0; Path=/", 0));
 }
 
 void SessionCartBehavior::render(const RenderContext& context, Page& page) {
@@ -154,8 +156,7 @@ bool PreferenceCookieBehavior::affectsPath(std::string_view path) const {
 void PreferenceCookieBehavior::onRequest(const RenderContext& context,
                                          net::HttpResponse& response) {
   if (context.hasCookie(cookieName_)) return;
-  std::string header = beginSetCookie(cookieName_, 7 + kLifetimeBytes + 1);
-  header += "default";
+  std::string header = beginSetCookie(cookieName_, "default", kLifetimeBytes);
   appendLifetime(header, maxAgeSeconds_, "/");
   response.headers.add("Set-Cookie", std::move(header));
 }
